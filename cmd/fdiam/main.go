@@ -104,8 +104,6 @@ func run(args []string, out io.Writer) (int, error) {
 	beta := fs.Int("beta", 0, "direction-heuristic beta: return top-down when frontier < n/beta vertices (0 = default 8)")
 	noBatch := fs.Bool("no-batch", false, "disable MS-BFS batching of the main loop (legacy one-BFS-per-vertex behavior)")
 	batchForce := fs.Bool("batch-force", false, "batch every main-loop evaluation, bypassing the cost model")
-	batchMin := fs.Int("batch-min", 0, "cost model: minimum remaining active vertices before batching (0 = default 16)")
-	batchMaxPrune := fs.Float64("batch-maxprune", 0, "cost model: batch only while the recent removals-per-BFS average is at most this (0 = default 16)")
 	batchRows := fs.Bool("batch-rows", false, "request per-source distance rows from each batch and eliminate by row scan")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -275,11 +273,9 @@ func run(args []string, out io.Writer) (int, error) {
 			BFSAlpha:            *alpha,
 			BFSBeta:             *beta,
 			Batch: core.BatchOptions{
-				Disable:   *noBatch,
-				Force:     *batchForce,
-				MinActive: *batchMin,
-				MaxPrune:  *batchMaxPrune,
-				Rows:      *batchRows,
+				Disable: *noBatch,
+				Force:   *batchForce,
+				Rows:    *batchRows,
 			},
 			Checkpoint: ck,
 			Trace:      trace,

@@ -48,21 +48,13 @@ func (s *solver) batchEligible() bool {
 	if b.Force {
 		return true
 	}
-	minActive := b.MinActive
-	if minActive < 1 {
-		minActive = DefaultBatchMinActive
-	}
-	maxPrune := b.MaxPrune
-	if maxPrune <= 0 {
-		maxPrune = DefaultBatchMaxPrune
-	}
-	if s.activeRemaining() < int64(minActive) {
+	if s.activeRemaining() < DefaultBatchMinActive {
 		return false
 	}
 	if s.bound > batchMaxBound {
 		return false
 	}
-	return s.pruneEWMA >= 0 && s.pruneEWMA <= maxPrune
+	return s.pruneEWMA >= 0 && s.pruneEWMA <= DefaultBatchMaxPrune
 }
 
 // activeRemaining is the main-loop workload measure: vertices neither

@@ -188,8 +188,6 @@ func TestBatchCostModelGates(t *testing.T) {
 		{"pruning-too-hot", BatchOptions{}, 5000, DefaultBatchMaxPrune + 1, 20, false},
 		{"bound-too-high", BatchOptions{}, 5000, 2, batchMaxBound + 1, false},
 		{"bound-at-cap", BatchOptions{}, 5000, 2, batchMaxBound, true},
-		{"min-active-override", BatchOptions{MinActive: 5}, 8, 2, 20, true},
-		{"max-prune-override", BatchOptions{MaxPrune: 100}, 5000, 50, 20, true},
 	}
 	for _, c := range cases {
 		if got := eligible(c.opt, c.active, c.ewma, c.bound); got != c.want {

@@ -98,7 +98,8 @@ type Options struct {
 	Timeout time.Duration
 }
 
-// Default batch cost-model parameters (see BatchOptions).
+// Batch cost-model thresholds (DESIGN.md §11), fixed: no workload has
+// needed other values.
 const (
 	// DefaultBatchMinActive is the remaining-active-vertex floor below
 	// which the main loop stays single-BFS: with only a handful of
@@ -115,8 +116,7 @@ const (
 )
 
 // BatchOptions configures the MS-BFS batching of the solver's main loop.
-// The zero value enables batching gated by the default cost model; see the
-// field docs for the knobs and DESIGN.md §11 for the model.
+// The zero value enables batching gated by the cost model of DESIGN.md §11.
 type BatchOptions struct {
 	// Disable turns batching off entirely: the main loop evaluates every
 	// surviving vertex with its own direction-optimized BFS (the pre-
@@ -128,14 +128,6 @@ type BatchOptions struct {
 	// exercise the batched path deterministically; production runs should
 	// rely on the cost model.
 	Force bool
-
-	// MinActive overrides the remaining-active floor of the cost model
-	// (values < 1 select DefaultBatchMinActive).
-	MinActive int
-
-	// MaxPrune overrides the pruning-EWMA ceiling of the cost model
-	// (values <= 0 select DefaultBatchMaxPrune).
-	MaxPrune float64
 
 	// Rows requests per-source distance rows from each batch and uses
 	// them for the below-bound eliminations of committed sources, which

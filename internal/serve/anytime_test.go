@@ -120,3 +120,40 @@ func TestEpsilonRequestStopsWithBoundedGap(t *testing.T) {
 		t.Fatalf("ε=0: %+v", zero)
 	}
 }
+
+// TestApproxSeedAgreesAcrossEndpoints pins the content-determinism promise
+// the result cache rests on: the estimator's sampling seed derives from the
+// graph's bytes alone, so the same upload with the same ?mode=approx budget
+// yields the same corridor and witnesses whether it arrives as a
+// synchronous /diameter request or as an async job.
+func TestApproxSeedAgreesAcrossEndpoints(t *testing.T) {
+	var buf bytes.Buffer
+	if err := graphio.WriteBinary(&buf, gen.Grid2D(30, 30)); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	const query = "?mode=approx&sweeps=3"
+
+	_, syncTS, _ := newTestServer(t, Config{Workers: 1})
+	resp, sync := postGraph(t, syncTS, query, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/diameter status %d", resp.StatusCode)
+	}
+
+	_, jobTS, _ := newTestServer(t, Config{Workers: 1})
+	jresp, sub := postJob(t, jobTS.URL, query, body)
+	if jresp.StatusCode != http.StatusAccepted {
+		t.Fatalf("/jobs status %d", jresp.StatusCode)
+	}
+	async := waitJobDone(t, jobTS.URL, sub.JobID).Result
+	if async == nil {
+		t.Fatal("done job carries no result")
+	}
+
+	if sync.Diameter != async.Diameter || sync.Upper != async.Upper ||
+		sync.WitnessA != async.WitnessA || sync.WitnessB != async.WitnessB {
+		t.Fatalf("same graph and budget, different answers: /diameter [%d, %d] witnesses (%d, %d), /jobs [%d, %d] witnesses (%d, %d)",
+			sync.Diameter, sync.Upper, sync.WitnessA, sync.WitnessB,
+			async.Diameter, async.Upper, async.WitnessA, async.WitnessB)
+	}
+}

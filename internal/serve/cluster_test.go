@@ -173,6 +173,15 @@ func TestClusterDeadOwnerFallsBackToLocalSolve(t *testing.T) {
 	if _, out2 := postTo(t, tc.urls[entry], "", body); !out2.ResultCacheHit {
 		t.Error("repeat after fallback should hit the local result cache")
 	}
+	// POST /jobs consults the same local result cache before routing: the
+	// cached answer completes the job at once, without dialing the corpse.
+	jresp, job := postJob(t, tc.urls[entry], "", body)
+	if jresp.StatusCode != http.StatusOK || job.State != jobDone {
+		t.Fatalf("job after fallback: status %d state %q, want 200 done", jresp.StatusCode, job.State)
+	}
+	if fb := tc.regs[entry].Counter("fdiamd_peer_fallback_total", "").Value(); fb != 1 {
+		t.Errorf("fdiamd_peer_fallback_total = %d after the job, want 1: the cached job re-dialed the dead owner", fb)
+	}
 }
 
 func TestClusterFaultKilledOwnerFallsBack(t *testing.T) {

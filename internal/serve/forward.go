@@ -30,27 +30,21 @@ func forwarded(r *http.Request) bool {
 	return r.Header.Get(forwardedHeader) != ""
 }
 
-// forwardOwner returns the owning peer's URL when this request should be
-// forwarded: cluster mode on, someone else owns the key, and the request
-// did not already hop once.
-func (s *Server) forwardOwner(r *http.Request, key string) (string, bool) {
+// forward is the pipeline's stage 3: in cluster mode, a request for a key
+// another peer owns is relayed — with its original query, so timeouts and
+// anytime parameters survive the hop — to that owner. It reports whether a
+// response was written; false means serve locally: standalone, self-owned,
+// already forwarded once, or the owner unreachable after retries (counted
+// as a fallback). The request ID and tenant header propagate so the
+// owner's logs join the entry node's and quotas are charged exactly once.
+func (s *Server) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) bool {
 	if s.cluster == nil || forwarded(r) {
-		return "", false
+		return false
 	}
 	owner := s.cluster.Owner(key)
 	if owner == s.cluster.Self() {
-		return "", false
+		return false
 	}
-	return owner, true
-}
-
-// tryForward relays the request (with its original query, so timeouts and
-// anytime parameters survive the hop) to the owning peer and reports
-// whether a response was written. false means the owner was unreachable
-// after retries — the caller falls back to a local solve. The request ID
-// and tenant header propagate so the owner's logs join the entry node's
-// and quotas are charged exactly once.
-func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, owner string, body []byte) bool {
 	lg := obs.LoggerFrom(r.Context())
 	hdr := make(http.Header)
 	hdr.Set(forwardedHeader, "1")

@@ -2,24 +2,18 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"fdiam/internal/core"
 	"fdiam/internal/fault"
-	"fdiam/internal/graph"
-	"fdiam/internal/graphio"
 	"fdiam/internal/obs"
 )
 
@@ -42,7 +36,6 @@ type jobRecord struct {
 	requestID string
 	webhook   string
 	at        anytime
-	timeout   time.Duration
 
 	// Guarded by jobTable.mu after publication.
 	state string // jobRunning | jobDone | jobCancelled
@@ -130,9 +123,10 @@ func validJobID(id string) bool {
 	return true
 }
 
-// handleJobs serves POST /jobs: admit, register, answer 202 with the job
-// ID, and run the solve in the background under the same slot pool request
-// solves use. Ring routing matches /diameter — a non-owner forwards the
+// handleJobs serves POST /jobs: the pipeline's stages 1–6, then a 202 with
+// the job ID while runJob finishes the solve in the background under the
+// same slot pool request solves use. Like /diameter it answers from the
+// local result cache before routing; otherwise a non-owner forwards the
 // submission to the owner so the checkpoint directory (and therefore crash
 // recovery) lands on the node that owns the graph, and falls back to
 // running the job locally when the owner is unreachable.
@@ -142,58 +136,23 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a graph file to submit an async job; poll GET /jobs/{id}", http.StatusMethodNotAllowed)
 		return
 	}
-	s.mRequests.Inc()
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	lg := obs.LoggerFrom(r.Context())
-	if !s.tenantAdmit(w, r) {
-		return
-	}
-
-	q := r.URL.Query()
-	at, err := parseAnytime(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	timeout, err := s.requestTimeout(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	webhook := q.Get("webhook")
+	webhook := r.URL.Query().Get("webhook")
+	var paramErr error
 	if webhook != "" {
-		u, err := url.Parse(webhook)
-		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			http.Error(w, fmt.Sprintf("webhook: %q is not an http(s) URL", webhook), http.StatusBadRequest)
-			return
+		if u, err := url.Parse(webhook); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			paramErr = fmt.Errorf("webhook: %q is not an http(s) URL", webhook)
 		}
 	}
-	data, status, err := s.requestGraphBytes(w, r)
-	if err != nil {
-		lg.Warn("graph_read_failed", obs.KeyError, err.Error())
-		http.Error(w, err.Error(), status)
+	sr, ok := s.front(w, r, paramErr)
+	if !ok {
 		return
 	}
-	sum := sha256.Sum256(data)
-	key := hex.EncodeToString(sum[:])
-
-	if owner, ok := s.forwardOwner(r, key); ok {
-		if s.tryForward(w, r, owner, data) {
-			return
-		}
-		// Owner unreachable: the job runs here. Crash recovery still works
-		// — the checkpoint lands in this node's directory and this node's
-		// boot adopts it; only cache locality is lost until the owner heals.
-	}
+	j := &jobRecord{id: sr.key, requestID: sr.requestID, webhook: webhook, at: sr.at, state: jobRunning}
 
 	// An already-known answer completes the job instantly (and still
 	// honors the webhook contract: the client asked to be told).
-	if res, ok := s.lookupResult(key, at); ok {
-		s.mResultHits.Inc()
-		j := &jobRecord{id: key, requestID: obs.RequestIDFrom(r.Context()), webhook: webhook, at: at, state: jobDone, res: res}
+	if res, ok := s.lookupResult(sr); ok {
+		j.state, j.res = jobDone, res
 		if webhook != "" {
 			s.inflight.Add(1)
 			//fdiamlint:ignore nakedgo webhook delivery for an already-cached result; bounded retries, joined via inflight on drain
@@ -202,18 +161,16 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 				s.deliverWebhook(j)
 			}()
 		}
-		s.writeJob(w, http.StatusOK, s.jobResponseFor(j, key))
+		writeJSON(w, http.StatusOK, s.jobResponseFor(j))
 		return
 	}
-
-	j := &jobRecord{
-		id:        key,
-		requestID: obs.RequestIDFrom(r.Context()),
-		webhook:   webhook,
-		at:        at,
-		timeout:   timeout,
-		state:     jobRunning,
+	if s.forward(w, r, sr.key, sr.data) {
+		return
 	}
+	// The job runs here: this node owns the key, or the owner is
+	// unreachable. Crash recovery still works in the latter case — the
+	// checkpoint lands in this node's directory and this node's boot adopts
+	// it; only cache locality is lost until the owner heals.
 	cur, claimed := s.jobs.claim(j)
 	if !claimed {
 		// A live submission for the same graph: return its ID — the solve,
@@ -224,82 +181,45 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		if state != jobRunning {
 			code = http.StatusOK
 		}
-		s.writeJob(w, code, s.jobResponseFor(cur, key))
+		writeJSON(w, code, s.jobResponseFor(cur))
 		return
 	}
-
-	g, graphHit := s.graphs.get(key)
-	if !graphHit {
-		parsed, err := graphio.ReadAuto(data)
-		if err != nil {
-			s.jobs.drop(key)
-			http.Error(w, "parse: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		g = parsed
-	}
-
-	// Jobs ride the same admission ledger as synchronous solves: a flood
-	// of submissions beyond running+queued capacity gets 429s, not an
-	// unbounded goroutine pile.
-	if admitted := s.admitted.Add(1); admitted > int64(s.cfg.MaxConcurrent+s.cfg.MaxQueue) {
-		s.admitted.Add(-1)
-		s.jobs.drop(key)
-		s.mRejected.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		http.Error(w, "solver queue full", http.StatusTooManyRequests)
+	if err := s.loadGraph(sr); err != nil {
+		s.jobs.drop(sr.key)
+		http.Error(w, "parse: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	var ck core.CheckpointOptions
-	if s.cfg.CheckpointDir != "" {
-		// The graph copy is persisted before the 202 goes out: from this
-		// point on, even kill -9 leaves enough on disk for the next boot
-		// to finish the job.
-		ck = s.checkpointOptions(key, data)
+	if !s.admit(w) {
+		s.jobs.drop(sr.key)
+		return
 	}
+	// The graph copy is persisted before the 202 goes out: from this point
+	// on, even kill -9 leaves enough on disk for the next boot to finish
+	// the job.
+	s.persistGraph(sr)
+	sr.lg = s.lg.With(obs.KeyJobID, sr.key)
 	s.mJobsSubmitted.Inc()
-	lg.Info("job_submitted", obs.KeyJobID, key, obs.KeyWebhook, webhook)
-	s.inflight.Add(1)
+	obs.LoggerFrom(r.Context()).Info("job_submitted", obs.KeyJobID, sr.key, obs.KeyWebhook, webhook)
 	//fdiamlint:ignore nakedgo async job solve, bounded by the admission ledger and slot pool, joined via inflight on drain
-	go s.runJob(j, g, graphHit, ck)
-	s.writeJob(w, http.StatusAccepted, s.jobResponseFor(j, key))
+	go s.runJob(j, sr)
+	writeJSON(w, http.StatusAccepted, s.jobResponseFor(j))
 }
 
-// runJob executes one submitted job under the shared slot pool. The solve
+// runJob runs the pipeline's stages 7–9 for one admitted job. The solve
 // context is the server's base context (a job outlives its submitting
 // request by design) plus the job's own timeout.
-func (s *Server) runJob(j *jobRecord, g *graph.Graph, graphHit bool, ck core.CheckpointOptions) {
-	defer s.inflight.Done()
-	defer s.admitted.Add(-1)
-	s.gQueued.Add(1)
-	queueStart := s.hQueueWait.StartTimer()
-	select {
-	case s.slots <- struct{}{}:
-		s.gQueued.Add(-1)
-		s.hQueueWait.ObserveSince(queueStart)
-	case <-s.baseCtx.Done():
+func (s *Server) runJob(j *jobRecord, sr *solveReq) {
+	defer s.release()
+	if !s.waitSlot(s.baseCtx) {
 		// Drained before the job got a slot: nothing ran, nothing is lost
 		// — the persisted graph copy makes the next boot re-run it.
-		s.gQueued.Add(-1)
 		s.jobs.finish(j, jobCancelled, core.Result{Cancelled: true})
 		s.mJobsCancelled.Inc()
 		return
 	}
-	defer func() { <-s.slots }()
-
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-	ctx = obs.ContextWithRequestID(obs.ContextWithLogger(ctx, s.lg.With(obs.KeyJobID, j.id)), j.requestID)
-
-	opt := core.Options{Workers: s.cfg.Workers, Timeout: j.timeout, Checkpoint: ck, Epsilon: j.at.solverEpsilon()}
-	if j.at.approx {
-		sum := sha256.Sum256([]byte(j.id))
-		opt.Approx = core.ApproxOptions{Sweeps: j.at.sweeps, Seed: binary.BigEndian.Uint64(sum[:8])}
-	}
-	s.gInflight.Add(1)
-	res := core.DiameterCtx(ctx, g, opt)
-	s.gInflight.Add(-1)
-	s.publishOutcome(j.id, g, graphHit, res, j.at)
+	defer s.releaseSlot()
+	res := s.runSolver(s.baseCtx, sr, nil)
+	s.publishOutcome(sr, res)
 
 	if res.Cancelled {
 		// The snapshot stays behind (publishOutcome never retires a
@@ -335,7 +255,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if j, ok := s.jobs.get(id); ok {
-		s.writeJob(w, http.StatusOK, s.jobResponseFor(j, id))
+		writeJSON(w, http.StatusOK, s.jobResponseFor(j))
 		return
 	}
 	// No record: this node may have restarted since the submission. The
@@ -344,34 +264,28 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	// adopted solve is still running.
 	if res, ok := s.results.get(id); ok {
 		rr := s.buildResponse(obs.RequestIDFrom(r.Context()), id, res, 0, true, true, anytime{})
-		s.writeJob(w, http.StatusOK, jobResponse{JobID: id, State: jobDone, Result: &rr})
+		writeJSON(w, http.StatusOK, jobResponse{JobID: id, State: jobDone, Result: &rr})
 		return
 	}
 	if s.cfg.CheckpointDir != "" && fileExists(filepath.Join(s.cfg.CheckpointDir, id, graphFileName)) {
-		s.writeJob(w, http.StatusOK, jobResponse{JobID: id, State: jobRunning})
+		writeJSON(w, http.StatusOK, jobResponse{JobID: id, State: jobRunning})
 		return
 	}
-	if owner, ok := s.forwardOwner(r, id); ok && s.tryForward(w, r, owner, nil) {
+	if s.forward(w, r, id, nil) {
 		return
 	}
-	s.writeJob(w, http.StatusNotFound, jobResponse{JobID: id, State: jobUnknown})
+	writeJSON(w, http.StatusNotFound, jobResponse{JobID: id, State: jobUnknown})
 }
 
 // jobResponseFor snapshots a record into the wire schema.
-func (s *Server) jobResponseFor(j *jobRecord, key string) jobResponse {
+func (s *Server) jobResponseFor(j *jobRecord) jobResponse {
 	state, res := s.jobs.view(j)
-	out := jobResponse{JobID: key, State: state}
+	out := jobResponse{JobID: j.id, State: state}
 	if state == jobDone || state == jobCancelled {
-		rr := s.buildResponse(j.requestID, key, res, 0, false, state == jobDone, j.at)
+		rr := s.buildResponse(j.requestID, j.id, res, 0, false, state == jobDone, j.at)
 		out.Result = &rr
 	}
 	return out
-}
-
-func (s *Server) writeJob(w http.ResponseWriter, code int, jr jobResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(jr)
 }
 
 // Webhook delivery policy: same capped-backoff-with-full-jitter shape as
@@ -387,7 +301,7 @@ const (
 
 // deliverWebhook POSTs the finished job to its webhook URL.
 func (s *Server) deliverWebhook(j *jobRecord) {
-	body, err := json.Marshal(s.jobResponseFor(j, j.id))
+	body, err := json.Marshal(s.jobResponseFor(j))
 	if err != nil {
 		return
 	}

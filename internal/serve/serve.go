@@ -7,9 +7,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,12 +22,10 @@ import (
 	"syscall"
 	"time"
 
-	"fdiam/internal/checkpoint"
 	"fdiam/internal/cluster"
 	"fdiam/internal/core"
 	"fdiam/internal/fault"
 	"fdiam/internal/graph"
-	"fdiam/internal/graphio"
 	"fdiam/internal/obs"
 )
 
@@ -253,7 +248,7 @@ func New(cfg Config) (*Server, error) {
 	s.mRequests = reg.Counter("fdiamd_requests_total", "diameter requests received")
 	s.mRejected = reg.Counter("fdiamd_rejected_total", "requests rejected because the admission queue was full")
 	s.mGraphHits = reg.Counter("fdiamd_graph_cache_hits_total", "requests served from the parsed-graph cache")
-	s.mGraphMisses = reg.Counter("fdiamd_graph_cache_misses_total", "requests that parsed their graph from scratch")
+	s.mGraphMisses = reg.Counter("fdiamd_graph_cache_misses_total", "completed solves, requests and boot recovery alike, that parsed their graph from scratch")
 	s.mResultHits = reg.Counter("fdiamd_result_cache_hits_total", "requests answered from the result cache without solving")
 	s.mPanics = reg.Counter("fdiamd_panics_total", "handler panics recovered into 500 responses")
 	s.mCancelled = reg.Counter("fdiamd_solves_cancelled_total", "solves that returned cancelled (deadline, disconnect or shutdown)")
@@ -359,133 +354,54 @@ func (s *Server) handleDiameter(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a graph file (fdiam binary, Matrix Market, DIMACS or edge list)", http.StatusMethodNotAllowed)
 		return
 	}
-	s.mRequests.Inc()
-	if faultHandlerPanic.Hit() {
-		panic("injected handler panic (serve.handler_panic)")
-	}
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	lg := obs.LoggerFrom(r.Context())
-	if !s.tenantAdmit(w, r) {
-		return
-	}
-
 	q := r.URL.Query()
 	streamBounds := q.Get("stream") == "bounds"
-	if mode := q.Get("stream"); mode != "" && !streamBounds {
-		http.Error(w, fmt.Sprintf("stream: unknown mode %q (only \"bounds\")", mode), http.StatusBadRequest)
-		return
-	}
 	wantTrace := q.Get("trace") == "1"
-	at, err := parseAnytime(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	var paramErr error
+	if mode := q.Get("stream"); mode != "" && !streamBounds {
+		paramErr = fmt.Errorf("stream: unknown mode %q (only \"bounds\")", mode)
+	}
+	sr, ok := s.front(w, r, paramErr)
+	if !ok {
 		return
 	}
-
-	timeout, err := s.requestTimeout(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	data, status, err := s.requestGraphBytes(w, r)
-	if err != nil {
-		// The access log records the status; this line adds the cause
-		// (staged-read failures especially), still under this request_id.
-		lg.Warn("graph_read_failed", obs.KeyError, err.Error())
-		http.Error(w, err.Error(), status)
-		return
-	}
-	sum := sha256.Sum256(data)
-	key := hex.EncodeToString(sum[:])
-
-	// Result cache first: a finished diameter is a pure function of the
-	// graph content, so repeat requests skip admission entirely. An exact
-	// entry under the bare key satisfies every request (its gap is 0 ≤ any
-	// ε); an anytime request additionally accepts an approximate entry
-	// cached under its own parameter-qualified key.
-	if res, ok := s.lookupResult(key, at); ok {
-		s.mResultHits.Inc()
+	if res, ok := s.lookupResult(sr); ok {
 		if streamBounds {
-			s.streamCached(w, r, key, res, at)
+			s.streamCached(w, sr, res)
 			return
 		}
-		s.writeResult(w, r, key, res, 0, true, true, nil, at)
+		writeJSON(w, http.StatusOK, s.buildResponse(sr.requestID, sr.key, res, 0, true, true, sr.at))
 		return
 	}
-
 	// Cluster routing: the ring owner holds this graph's caches and
 	// checkpoint directory, so a non-owner hands the whole request over —
 	// the owner answers from its result cache without solving when it can.
-	// An unreachable owner degrades to solving here (counted, logged,
-	// never an error to the client). Bound-streaming requests always run
-	// locally: relaying a progress stream through a second node would
-	// buffer it.
-	if !streamBounds {
-		if owner, ok := s.forwardOwner(r, key); ok && s.tryForward(w, r, owner, data) {
-			return
-		}
-	}
-
-	g, hit := s.graphs.get(key)
-	if !hit {
-		parsed, err := graphio.ReadAuto(data)
-		if err != nil {
-			http.Error(w, "parse: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		g = parsed
-	}
-	var ck core.CheckpointOptions
-	if s.cfg.CheckpointDir != "" {
-		ck = s.checkpointOptions(key, data)
-	}
-	data = nil // the CSR form is all that is retained past this point
-
-	// Admission: running + queued may not exceed the configured bound.
-	if admitted := s.admitted.Add(1); admitted > int64(s.cfg.MaxConcurrent+s.cfg.MaxQueue) {
-		s.admitted.Add(-1)
-		s.mRejected.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		http.Error(w, "solver queue full", http.StatusTooManyRequests)
+	// Bound-streaming requests always run locally: relaying a progress
+	// stream through a second node would buffer it.
+	if !streamBounds && s.forward(w, r, sr.key, sr.data) {
 		return
 	}
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	defer s.admitted.Add(-1)
-
-	s.gQueued.Add(1)
-	queueStart := s.hQueueWait.StartTimer()
-	select {
-	case s.slots <- struct{}{}:
-		s.gQueued.Add(-1)
-		s.hQueueWait.ObserveSince(queueStart)
-	case <-r.Context().Done():
-		s.gQueued.Add(-1)
-		return // client went away while queued; nothing to write
-	case <-s.baseCtx.Done():
-		s.gQueued.Add(-1)
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+	if err := s.loadGraph(sr); err != nil {
+		http.Error(w, "parse: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	defer func() { <-s.slots }()
-
-	// The solve context layers shutdown (baseCtx), the client connection
-	// and the per-request deadline: whichever fires first stops the run
-	// at its next BFS level boundary. The request's logger and ID are
-	// re-attached because baseCtx is deliberately not a child of the
-	// request context (a drain must not wait on slow clients).
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-	stopClientWatch := context.AfterFunc(r.Context(), cancel)
-	defer stopClientWatch()
-	ctx = obs.ContextWithRequestID(obs.ContextWithLogger(ctx, lg), obs.RequestIDFrom(r.Context()))
+	if !s.admit(w) {
+		return
+	}
+	defer s.release()
+	s.persistGraph(sr)
+	if !s.waitSlot(r.Context()) {
+		if r.Context().Err() == nil {
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+		}
+		return // else the client went away while queued; nothing to write
+	}
+	defer s.releaseSlot()
 
 	// Request-scoped observability run: bound streaming subscribes to it,
-	// ?trace=1 captures its Chrome trace. Plain solves keep a nil tracer —
-	// the zero-cost default.
+	// ?trace=1 captures its Chrome trace. It is created only once the slot
+	// is held, because obs.NewRun makes it the process's observed run.
+	// Plain solves keep a nil tracer — the zero-cost default.
 	var run *obs.Run
 	var traceBuf *bytes.Buffer
 	if streamBounds || wantTrace {
@@ -496,102 +412,25 @@ func (s *Server) handleDiameter(w http.ResponseWriter, r *http.Request) {
 		}
 		run = obs.NewRun(runCfg)
 	}
-	opt := core.Options{Workers: s.cfg.Workers, Timeout: timeout, Checkpoint: ck, Trace: run,
-		Epsilon: at.solverEpsilon()}
-	if at.approx {
-		// The estimator's sampling seed derives from the graph's content
-		// hash: the same graph with the same budget produces the same
-		// corridor on every request, matching the cache's promise.
-		opt.Approx = core.ApproxOptions{Sweeps: at.sweeps, Seed: binary.BigEndian.Uint64(sum[:8])}
+	respond := func(res core.Result, elapsed time.Duration) response {
+		out := s.buildResponse(sr.requestID, sr.key, res, elapsed, sr.graphHit, false, sr.at)
+		if traceBuf != nil {
+			out.Trace = json.RawMessage(traceBuf.Bytes())
+		}
+		return out
 	}
-
-	s.gInflight.Add(1)
 	start := time.Now()
 	if streamBounds {
-		sg := solveGraph{solve: func(ctx context.Context) core.Result {
-			return core.DiameterCtx(ctx, g, opt)
-		}}
-		resp := func(res core.Result) response {
-			out := s.buildResponse(obs.RequestIDFrom(r.Context()), key, res, time.Since(start), hit, false, at)
-			if traceBuf != nil {
-				out.Trace = json.RawMessage(traceBuf.Bytes())
-			}
-			return out
-		}
-		res, _ := s.streamSolve(ctx, w, run, sg, resp)
-		s.gInflight.Add(-1)
-		s.publishOutcome(key, g, hit, res, at)
+		res := s.streamSolve(r.Context(), w, run, func(ctx context.Context) core.Result {
+			return s.runSolver(ctx, sr, run)
+		}, func(res core.Result) response { return respond(res, time.Since(start)) })
+		s.publishOutcome(sr, res)
 		return
 	}
-	res := core.DiameterCtx(ctx, g, opt)
-	if run != nil {
-		_ = run.Finish()
-	}
+	res := s.runSolver(r.Context(), sr, run)
 	elapsed := time.Since(start)
-	s.gInflight.Add(-1)
-	s.publishOutcome(key, g, hit, res, at)
-	s.writeResult(w, r, key, res, elapsed, hit, false, traceBuf, at)
-}
-
-// publishOutcome settles a finished solve into the caches and counters: a
-// cancelled run leaves its checkpoint directory for resume, a completed one
-// publishes to both caches (unless the injected cache-write fault drops the
-// publication) and retires its checkpoint directory.
-func (s *Server) publishOutcome(key string, g *graph.Graph, graphHit bool, res core.Result, at anytime) {
-	if res.Cancelled {
-		// A cancelled checkpointed solve deliberately leaves its directory
-		// behind: the snapshot inside is exactly what ResumeOrphans (or a
-		// retrying client) continues from.
-		s.mCancelled.Inc()
-		return
-	}
-	if res.Resumed {
-		s.mResumes.Inc()
-	}
-	if faultCacheWrite.Hit() {
-		// Injected cache-write failure: the result is still served,
-		// only the caches stay cold for the next request.
-	} else {
-		if graphHit {
-			s.mGraphHits.Inc()
-		} else {
-			s.mGraphMisses.Inc()
-			s.graphs.add(key, g)
-			s.gGraphBytes.Set(s.graphs.bytes())
-		}
-		if res.Approximate {
-			// An open corridor is cached only under its parameter-qualified
-			// key: the bare content key is the exact-diameter promise, and
-			// an approximate entry must never be served against it.
-			s.results.addAnytime(at.cacheKey(key), res)
-		} else {
-			s.results.add(key, res)
-		}
-	}
-	if res.Approximate && !res.TimedOut {
-		// An ε-stopped solve left a positioned snapshot behind; a later
-		// exact (or tighter-ε) request for the same graph resumes from it
-		// instead of restarting. Timed-out runs keep the pre-existing
-		// retirement behavior.
-		return
-	}
-	s.clearCheckpointDir(key)
-}
-
-// lookupResult is the two-layer result-cache probe every entry point uses:
-// an exact entry under the bare content key satisfies any request, and an
-// anytime request additionally accepts an approximate entry cached under
-// its parameter-qualified key.
-func (s *Server) lookupResult(key string, at anytime) (core.Result, bool) {
-	if res, ok := s.results.get(key); ok {
-		return res, true
-	}
-	if at.enabled() {
-		if res, ok := s.results.get(at.cacheKey(key)); ok {
-			return res, true
-		}
-	}
-	return core.Result{}, false
+	s.publishOutcome(sr, res)
+	writeJSON(w, http.StatusOK, respond(res, elapsed))
 }
 
 // tenantAdmit charges the request's tenant one quota token, answering 429
@@ -747,33 +586,6 @@ func (s *Server) readStagedOnce(name string) ([]byte, int, error) {
 // input without the original client.
 const graphFileName = "graph"
 
-// checkpointOptions prepares <CheckpointDir>/<key>/ for one solve: the raw
-// graph bytes are persisted beside the future snapshot (write-then-rename,
-// so a crash mid-write never leaves a torn copy), and an existing snapshot
-// from a previous process is selected for resume. Failures disable
-// checkpointing for this solve rather than failing it.
-func (s *Server) checkpointOptions(key string, data []byte) core.CheckpointOptions {
-	dir := filepath.Join(s.cfg.CheckpointDir, key)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return core.CheckpointOptions{}
-	}
-	gpath := filepath.Join(dir, graphFileName)
-	if _, err := os.Stat(gpath); err != nil {
-		tmp := gpath + ".tmp"
-		if err := os.WriteFile(tmp, data, 0o644); err != nil {
-			return core.CheckpointOptions{}
-		}
-		if err := os.Rename(tmp, gpath); err != nil {
-			return core.CheckpointOptions{}
-		}
-	}
-	ck := core.CheckpointOptions{Dir: dir, Every: s.cfg.CheckpointEvery}
-	if snap := filepath.Join(dir, checkpoint.FileName); fileExists(snap) {
-		ck.ResumeFrom = snap
-	}
-	return ck
-}
-
 // clearCheckpointDir retires a completed solve's checkpoint directory (the
 // solver already removed state.ckpt; the graph copy and the directory go
 // with it).
@@ -819,64 +631,35 @@ func (s *Server) ResumeOrphans(ctx context.Context) int {
 	return ran
 }
 
-// resumeOrphan re-runs one orphaned solve. A directory without a readable,
-// parsable graph copy is garbage from a crash mid-setup and is removed; a
-// solve cancelled by shutdown leaves its (freshly re-written) snapshot for
-// the next boot.
+// resumeOrphan re-runs one orphaned solve through the pipeline's graph,
+// checkpoint and solve stages. A directory without a readable, parsable
+// graph copy is garbage from a crash mid-setup and is removed; a solve
+// cancelled by shutdown or by ctx leaves its (freshly re-written) snapshot
+// for the next boot.
 func (s *Server) resumeOrphan(ctx context.Context, key string) bool {
 	dir := filepath.Join(s.cfg.CheckpointDir, key)
 	data, err := os.ReadFile(filepath.Join(dir, graphFileName))
+	// The zero anytime finishes the orphan exactly (Epsilon -1): a snapshot
+	// left by an ε-stopped request must not re-stop at its recorded
+	// tolerance and launder an approximate corridor into the bare-key
+	// result cache.
+	sr := &solveReq{key: key, data: data, lg: s.lg}
+	if err == nil {
+		err = s.loadGraph(sr)
+	}
 	if err != nil {
 		_ = os.RemoveAll(dir)
 		return false
 	}
-	g, err := graphio.ReadAuto(data)
-	if err != nil {
-		_ = os.RemoveAll(dir)
-		return false
-	}
-	ck := core.CheckpointOptions{Dir: dir, Every: s.cfg.CheckpointEvery}
-	if snap := filepath.Join(dir, checkpoint.FileName); fileExists(snap) {
-		ck.ResumeFrom = snap
-	}
+	s.persistGraph(sr)
 
 	s.inflight.Add(1)
 	defer s.inflight.Done()
-	select {
-	case s.slots <- struct{}{}:
-	case <-s.baseCtx.Done():
-		return false
-	case <-ctx.Done():
+	if !s.waitSlot(ctx) {
 		return false
 	}
-	defer func() { <-s.slots }()
-
-	// The solve stops on whichever fires first: server shutdown (baseCtx)
-	// or the caller's recovery bound (ctx). As with request solves, the
-	// solve context is a child of baseCtx, with the caller's cancellation
-	// bridged in rather than parented.
-	solveCtx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-	defer context.AfterFunc(ctx, cancel)()
-
-	s.gInflight.Add(1)
-	// Epsilon -1 finishes the orphan exactly: a snapshot left by an
-	// ε-stopped request must not re-stop at its recorded tolerance and
-	// launder an approximate corridor into the bare-key result cache.
-	res := core.DiameterCtx(solveCtx, g, core.Options{Workers: s.cfg.Workers, Checkpoint: ck, Epsilon: -1})
-	s.gInflight.Add(-1)
-
-	if res.Cancelled {
-		s.mCancelled.Inc()
-		return true
-	}
-	if res.Resumed {
-		s.mResumes.Inc()
-	}
-	s.graphs.add(key, g)
-	s.gGraphBytes.Set(s.graphs.bytes())
-	s.results.add(key, res)
-	s.clearCheckpointDir(key)
+	defer s.releaseSlot()
+	s.publishOutcome(sr, s.runSolver(ctx, sr, nil))
 	return true
 }
 
@@ -884,12 +667,6 @@ func (s *Server) resumeOrphan(ctx context.Context, key string) bool {
 // *http.Request so job webhooks — which outlive their submitting request —
 // can build the same payload.
 func (s *Server) buildResponse(requestID, key string, res core.Result, elapsed time.Duration, graphHit, resultHit bool, at anytime) response {
-	witness := func(v uint32) int64 {
-		if v == graph.NoVertex {
-			return -1
-		}
-		return int64(v)
-	}
 	stats := res.Stats
 	return response{
 		Diameter:       res.Diameter,
@@ -902,8 +679,8 @@ func (s *Server) buildResponse(requestID, key string, res core.Result, elapsed t
 		Approximate:    res.Approximate,
 		Epsilon:        at.epsilon,
 		Mode:           at.mode(),
-		WitnessA:       witness(res.WitnessA),
-		WitnessB:       witness(res.WitnessB),
+		WitnessA:       witnessID(res.WitnessA),
+		WitnessB:       witnessID(res.WitnessB),
 		ElapsedNS:      elapsed.Nanoseconds(),
 		GraphHash:      key,
 		GraphCacheHit:  graphHit,
@@ -913,13 +690,17 @@ func (s *Server) buildResponse(requestID, key string, res core.Result, elapsed t
 	}
 }
 
-func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, key string, res core.Result,
-	elapsed time.Duration, graphHit, resultHit bool, traceBuf *bytes.Buffer, at anytime) {
-	resp := s.buildResponse(obs.RequestIDFrom(r.Context()), key, res, elapsed, graphHit, resultHit, at)
-	if traceBuf != nil {
-		resp.Trace = json.RawMessage(traceBuf.Bytes())
+// witnessID maps a witness vertex onto the wire: -1 for "none", so clients
+// need not know the internal NoVertex sentinel.
+func witnessID(v uint32) int64 {
+	if v == graph.NoVertex {
+		return -1
 	}
+	return int64(v)
+}
+
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(resp)
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -22,6 +22,7 @@ import (
 	"fdiam/internal/fault"
 	"fdiam/internal/gen"
 	"fdiam/internal/graphio"
+	"fdiam/internal/obs"
 )
 
 func TestHandlerPanicFaultRecovered(t *testing.T) {
@@ -206,6 +207,8 @@ func TestResumeOrphans(t *testing.T) {
 	}
 
 	s, _, reg := newTestServer(t, Config{Workers: 1, CheckpointDir: ckDir})
+	queueWait := reg.Histogram("fdiamd_queue_wait_seconds", "", obs.HistogramOpts{})
+	waitsBefore := queueWait.Count()
 	ran := s.ResumeOrphans(context.Background())
 	want := 1
 	if withSnap {
@@ -213,6 +216,11 @@ func TestResumeOrphans(t *testing.T) {
 	}
 	if ran != want {
 		t.Fatalf("ResumeOrphans ran %d solves, want %d", ran, want)
+	}
+	// Orphans wait for their slot through the same stage as requests, so
+	// boot recovery shows up in the queue-wait histogram.
+	if waits := queueWait.Count() - waitsBefore; waits != int64(ran) {
+		t.Fatalf("queue-wait histogram recorded %d waits, want one per orphan run (%d)", waits, ran)
 	}
 	if withSnap && reg.Counter("fdiamd_resumes_total", "").Value() != 1 {
 		t.Fatal("snapshot orphan did not count as a resume")

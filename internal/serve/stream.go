@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"fdiam/internal/core"
-	"fdiam/internal/graph"
 	"fdiam/internal/obs"
 )
 
@@ -155,23 +154,21 @@ func (s *Server) handleProgressStream(w http.ResponseWriter, r *http.Request) {
 // deadline), and the subscriber channel closing is what ends the loop — the
 // solver's Finish guarantees that.
 func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter,
-	run *obs.Run, g solveGraph, resp func(core.Result) response) (core.Result, bool) {
+	run *obs.Run, solve func(context.Context) core.Result, resp func(core.Result) response) core.Result {
 	fl, ok := sseStart(w)
 	if !ok {
 		// Admission was already paid; solve anyway and discard the stream.
-		res := g.solve(ctx)
-		return res, false
+		return solve(ctx)
 	}
 	ch, cancelSub := run.SubscribeBounds(64)
 	defer cancelSub()
 	done := make(chan core.Result, 1)
 	//fdiamlint:ignore nakedgo solve worker for one SSE request; joined via the done channel before return
 	go func() {
-		res := g.solve(ctx)
-		// Finish closes every bound subscriber, ending the event loop
-		// below even if the client is still connected.
-		_ = run.Finish()
-		done <- res
+		// The solve finishes run, which closes every bound subscriber and
+		// so ends the event loop below even if the client is still
+		// connected.
+		done <- solve(ctx)
 	}()
 	for ev := range ch {
 		if writeSSE(w, fl, sseEventBound, ev) != nil {
@@ -182,7 +179,7 @@ func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter,
 	}
 	res := <-done
 	_ = writeSSE(w, fl, sseEventResult, resp(res))
-	return res, true
+	return res
 }
 
 // streamCached serves a result-cache hit in streaming form: one bound event
@@ -190,27 +187,14 @@ func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter,
 // so clients see the same protocol shape whether or not the solve actually
 // ran. For an exact entry the corridor is collapsed (lb == ub == diameter);
 // an approximate entry keeps its honest open corridor [diameter, upper].
-func (s *Server) streamCached(w http.ResponseWriter, r *http.Request, key string, res core.Result, at anytime) {
+func (s *Server) streamCached(w http.ResponseWriter, sr *solveReq, res core.Result) {
 	fl, ok := sseStart(w)
 	if !ok {
 		return
 	}
-	witness := func(v uint32) int64 {
-		if v == graph.NoVertex {
-			return -1
-		}
-		return int64(v)
-	}
 	_ = writeSSE(w, fl, sseEventBound, obs.BoundEvent{
 		LB: int64(res.Diameter), UB: int64(res.Upper),
-		WitnessA: witness(res.WitnessA), WitnessB: witness(res.WitnessB),
+		WitnessA: witnessID(res.WitnessA), WitnessB: witnessID(res.WitnessB),
 	})
-	_ = writeSSE(w, fl, sseEventResult, s.buildResponse(obs.RequestIDFrom(r.Context()), key, res, 0, true, true, at))
-}
-
-// solveGraph packages the one-shot solve closure handed to streamSolve so
-// the streaming path runs exactly the solver invocation the plain path
-// would.
-type solveGraph struct {
-	solve func(context.Context) core.Result
+	_ = writeSSE(w, fl, sseEventResult, s.buildResponse(sr.requestID, sr.key, res, 0, true, true, sr.at))
 }
