@@ -33,13 +33,12 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	which := fs.String("run", "all", "experiment: table1..table5, fig6..fig9, all; extensions beyond the paper: ext-algos, ext-allecc, ext-diropt, ext; bfs (substrate comparison); ext-msbfs (main-loop batching comparison); ext-obs (telemetry overhead)")
+	which := fs.String("run", "all", "experiment: table1..table5, fig6..fig9, all; extensions beyond the paper: ext-algos, ext-allecc, ext-diropt, ext-twosweep, ext-approx, ext (all extensions)")
 	scaleFlag := fs.String("scale", "quick", "stand-in scale: quick or full")
 	runs := fs.Int("runs", 3, "timed repetitions per measurement (median reported; the paper uses 9)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-run timeout (the paper used 2.5h at full dataset scale)")
 	workers := fs.Int("workers", 0, "workers for the parallel codes (0 = all CPUs)")
 	workloadsFlag := fs.String("workloads", "", "comma-separated workload names (default: all 17)")
-	jsonPath := fs.String("json", "", "with -run bfs, ext-msbfs or ext-obs: also write the comparison as JSON to this file")
 	traceDir := fs.String("tracedir", "", "write a Chrome trace artifact per (workload, F-Diam code) into this directory during the main sweep")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -135,7 +134,7 @@ func run(args []string, out io.Writer) error {
 		ran = true
 		bench.Fig9(out, catalog(), cfg)
 	}
-	// Extension experiments are opt-in ("ext" selects all three); "all"
+	// Extension experiments are opt-in ("ext" selects all of them); "all"
 	// covers only the paper's artifacts.
 	wantExt := func(name string) bool {
 		for _, s := range selected {
@@ -165,76 +164,6 @@ func run(args []string, out io.Writer) error {
 	if wantExt("ext-approx") {
 		ran = true
 		bench.TableApprox(out, catalog(), cfg)
-	}
-	// "bfs" races the current BFS substrate against the seed revision's and
-	// snapshots the result (BENCH_pr1.json). Opt-in: it is a substrate
-	// regression check, not one of the paper's artifacts.
-	if wantExt("bfs") {
-		ran = true
-		fmt.Fprintln(out, "Racing legacy vs adaptive BFS substrate...")
-		rows, err := bench.BFSComparison(catalog(), cfg, out)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		bench.TableBFS(out, rows)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteBFSComparisonJSON(f, *scaleFlag, cfg, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *jsonPath)
-		}
-	}
-	// "ext-msbfs" races the legacy main loop (batching disabled) against
-	// the MS-BFS-batched one and snapshots the result (BENCH_pr6.json).
-	if wantExt("ext-msbfs") {
-		ran = true
-		fmt.Fprintln(out, "Racing legacy vs MS-BFS-batched main loop...")
-		rows, err := bench.MSBFSComparison(catalog(), cfg, out)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		bench.TableMSBFS(out, rows)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteMSBFSComparisonJSON(f, *scaleFlag, cfg, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *jsonPath)
-		}
-	}
-	// "ext-obs" measures the PR-7 telemetry layer: disarmed vs armed
-	// histograms vs full per-request tracing (BENCH_pr7.json).
-	if wantExt("ext-obs") {
-		ran = true
-		fmt.Fprintln(out, "Measuring telemetry overhead (off vs armed vs traced)...")
-		rows, err := bench.ObsOverheadComparison(catalog(), cfg, out)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		bench.TableObsOverhead(out, rows)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteObsOverheadJSON(f, *scaleFlag, cfg, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *jsonPath)
-		}
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", *which)

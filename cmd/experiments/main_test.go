@@ -51,6 +51,13 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-run", "bogus"}, &buf); err == nil {
 		t.Error("unknown experiment accepted")
 	}
+	// The retired comparison harnesses are gone, not silently ignored.
+	for _, name := range []string{"bfs", "ext-msbfs", "ext-obs"} {
+		err := run([]string{"-run", name}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("-run %s: err = %v, want unknown experiment", name, err)
+		}
+	}
 	if err := run([]string{"-scale", "bogus"}, &buf); err == nil {
 		t.Error("unknown scale accepted")
 	}

@@ -201,10 +201,6 @@ func TestSwitchCountersAccumulate(t *testing.T) {
 	if got, want := e.DirectionSwitches(), 2*first; got != want {
 		t.Errorf("cumulative = %d, want %d", got, want)
 	}
-	e.ResetCounters()
-	if e.DirectionSwitches() != 0 || e.LastTraversalSwitches() != 0 {
-		t.Error("ResetCounters left switch counters non-zero")
-	}
 }
 
 func TestDisableDirOptNeverSwitches(t *testing.T) {

@@ -259,13 +259,6 @@ func (e *Engine) DirectionSwitches() int64 { return e.switches }
 // recent traversal.
 func (e *Engine) LastTraversalSwitches() int64 { return e.lastSwitches }
 
-// ResetCounters clears the traversal and direction-switch counters.
-func (e *Engine) ResetCounters() {
-	e.fullTraversals = 0
-	e.switches = 0
-	e.lastSwitches = 0
-}
-
 // CountTraversal lets callers (e.g. Winnow) add to the traversal count, as
 // the paper counts a Winnow as a BFS traversal (§6.3).
 func (e *Engine) CountTraversal() { e.fullTraversals++ }

@@ -261,10 +261,6 @@ func TestTraversalCounter(t *testing.T) {
 	if e.Traversals() != 4 {
 		t.Errorf("traversals = %d, want 4", e.Traversals())
 	}
-	e.ResetCounters()
-	if e.Traversals() != 0 {
-		t.Errorf("traversals after reset = %d", e.Traversals())
-	}
 }
 
 func TestSetWorkers(t *testing.T) {

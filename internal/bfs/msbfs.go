@@ -500,12 +500,3 @@ func MultiSourceEccentricities(ctx context.Context, g *graph.Graph, sources []gr
 	}
 	return eccs
 }
-
-// AllEccentricitiesMS computes the eccentricity of every vertex via MS-BFS.
-func AllEccentricitiesMS(ctx context.Context, g *graph.Graph, workers int) []int32 {
-	sources := make([]graph.Vertex, g.NumVertices())
-	for i := range sources {
-		sources[i] = graph.Vertex(i)
-	}
-	return MultiSourceEccentricities(ctx, g, sources, workers)
-}

@@ -17,7 +17,11 @@ func TestMultiSourceEccentricitiesMatchesSingleSource(t *testing.T) {
 		}
 		// All vertices as sources (exercises multiple batches on the
 		// larger graphs).
-		got := AllEccentricitiesMS(context.Background(), g, 2)
+		sources := make([]graph.Vertex, n)
+		for i := range sources {
+			sources[i] = graph.Vertex(i)
+		}
+		got := MultiSourceEccentricities(context.Background(), g, sources, 2)
 		e := New(g, 1)
 		for v := 0; v < n; v++ {
 			want := e.Eccentricity(graph.Vertex(v))

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"fdiam/internal/graph"
-	"fdiam/internal/obs"
 )
 
 // This file implements the MS-BFS batching of the main loop: instead of
@@ -107,12 +106,11 @@ func (s *solver) runBatch(vstart int) bool {
 	hBatchSources.Observe(int64(len(sources)))
 	s.stats.MSBFSBatches++
 	s.stats.MSBFSSources += int64(len(sources))
-	useRows := s.opt.Batch.Rows && !s.opt.DisableEliminate
 
 	s.ck.loopV = vstart
 	tEcc := time.Now()
 	s.ck.armed = true
-	res := s.e.MultiSourceRun(sources, useRows)
+	res := s.e.MultiSourceRun(sources, false)
 	s.ck.armed = false
 	s.stats.TimeEcc += time.Since(tEcc)
 
@@ -174,11 +172,7 @@ func (s *solver) runBatch(vstart int) bool {
 			}
 		case vecc < s.bound && !s.opt.DisableEliminate:
 			tEl := time.Now()
-			if useRows {
-				s.eliminateFromRow(src, res.Rows[i], vecc, s.bound)
-			} else {
-				s.eliminateFrom([]graph.Vertex{src}, vecc, s.bound, StageEliminate)
-			}
+			s.eliminateFrom([]graph.Vertex{src}, vecc, s.bound, StageEliminate)
 			s.stats.TimeEliminate += time.Since(tEl)
 		}
 		s.notePruning(s.removedTotal() - before)
@@ -193,41 +187,4 @@ func (s *solver) runBatch(vstart int) bool {
 		s.ckptAfterVertex(last + 1)
 	}
 	return true
-}
-
-// eliminateFromRow is eliminateFrom specialized to a precomputed distance
-// row: row[v] = d(src, v) (-1 if unreachable), as returned by the MS-BFS
-// batch that just computed ecc(src) = startVal. It reproduces the partial
-// BFS's write policy and Stats accounting exactly — BFS level sets are
-// contiguous, so the vertices Partial would report across its completed
-// levels are precisely those with 1 ≤ row[v] ≤ limit−startVal — at the
-// cost of one linear scan instead of a ball traversal.
-func (s *solver) eliminateFromRow(src graph.Vertex, row []int32, startVal, limit int32) {
-	if startVal >= limit {
-		return
-	}
-	s.stats.EliminateCalls++
-	if checkedBuild {
-		s.checkEliminateRow(src, row, startVal, limit)
-	}
-	tr := s.opt.Trace
-	if tr != nil {
-		tr.Begin("stage", "eliminate",
-			obs.I("seeds", int64(1)), obs.I("radius", int64(limit-startVal)))
-	}
-	radius := limit - startVal
-	var visited int64
-	for v, k := range row {
-		if k < 1 || k > radius {
-			continue
-		}
-		visited++
-		if s.recordBound(graph.Vertex(v), startVal+k, StageEliminate) {
-			s.stats.RemovedEliminate++
-		}
-	}
-	s.stats.EliminateVisited += visited
-	if tr != nil {
-		tr.End("stage", "eliminate", obs.I("removed_total", s.stats.RemovedEliminate))
-	}
 }

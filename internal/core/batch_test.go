@@ -103,10 +103,10 @@ func assertWitnessRealizes(t *testing.T, label string, g *graph.Graph, res Resul
 	}
 }
 
-// TestBatchEquivalenceSweep is the acceptance sweep of ISSUE 6: across the
-// catalog, forced batching (with and without distance rows, serial and
-// parallel) must reproduce the unbatched run's result and Stats exactly,
-// and the default cost model must never change the answer.
+// TestBatchEquivalenceSweep is the batching equivalence sweep: across the
+// catalog, forced batching (serial and parallel) must reproduce the
+// unbatched run's result and Stats exactly, and the default cost model
+// must never change the answer.
 func TestBatchEquivalenceSweep(t *testing.T) {
 	for name, g := range batchCatalog() {
 		t.Run(name, func(t *testing.T) {
@@ -120,12 +120,10 @@ func TestBatchEquivalenceSweep(t *testing.T) {
 					t.Fatalf("workers=%d: disabled batching still ran %d batches",
 						w, ref.Stats.MSBFSBatches)
 				}
-				for _, rows := range []bool{false, true} {
-					label := fmt.Sprintf("workers=%d rows=%v", w, rows)
-					res := Diameter(g, Options{Workers: w, Batch: BatchOptions{Force: true, Rows: rows}})
-					assertBatchEquivalent(t, label, ref, res)
-					assertWitnessRealizes(t, label, g, res)
-				}
+				label := fmt.Sprintf("workers=%d", w)
+				res := Diameter(g, Options{Workers: w, Batch: BatchOptions{Force: true}})
+				assertBatchEquivalent(t, label, ref, res)
+				assertWitnessRealizes(t, label, g, res)
 			}
 			// The zero-value Batch goes through the cost model: whether or
 			// not it decides to batch, the answer must not move.

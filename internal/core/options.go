@@ -37,16 +37,6 @@ type Options struct {
 	// measuring how much the hybrid contributes.
 	DisableDirectionOpt bool
 
-	// BFSAlpha and BFSBeta tune the Beamer-style direction heuristic of
-	// the BFS substrate: the hybrid goes bottom-up when its modeled
-	// bottom-up cost is below alpha times the top-down cost (the
-	// frontier's outgoing-arc count), and returns top-down when the
-	// frontier shrinks below n/beta vertices. Zero (or negative) selects
-	// the defaults (bfs.DefaultAlpha, bfs.DefaultBeta). The bench harness
-	// sweeps these to validate the defaults per topology class.
-	BFSAlpha int
-	BFSBeta  int
-
 	// Batch configures the bit-parallel MS-BFS batching of the main loop:
 	// when the cost model says batching pays, the solver evaluates up to
 	// 64 remaining active vertices with one multi-source traversal
@@ -120,21 +110,14 @@ const (
 type BatchOptions struct {
 	// Disable turns batching off entirely: the main loop evaluates every
 	// surviving vertex with its own direction-optimized BFS (the pre-
-	// batching behavior, and the "legacy" side of BENCH_pr6).
+	// batching behavior, and the reference of the equivalence tests).
 	Disable bool
 
 	// Force bypasses the cost model and batches whenever at least one
-	// active vertex remains. Intended for tests and benchmarks that must
-	// exercise the batched path deterministically; production runs should
-	// rely on the cost model.
+	// active vertex remains. Intended for tests that must exercise the
+	// batched path deterministically; production runs should rely on the
+	// cost model.
 	Force bool
-
-	// Rows requests per-source distance rows from each batch and uses
-	// them for the below-bound eliminations of committed sources, which
-	// replaces each such Eliminate partial BFS by one linear scan over
-	// the distance row. Worth it when eliminate radii are large (the
-	// scan is O(n) regardless of the ball size); off by default.
-	Rows bool
 }
 
 // ApproxOptions configures the sampled approximation mode: Sweeps double

@@ -19,7 +19,7 @@ import (
 // Workers are spawned lazily, on the first dispatch that needs them, and
 // the physical worker count only grows (parked goroutines are cheap). Jobs
 // are serialized: a nested or concurrent dispatch on the same Pool detects
-// the busy pool and falls back to ForWorkerSpawn, so reentrancy can never
+// the busy pool and falls back to forWorkerSpawn, so reentrancy can never
 // deadlock a parked team.
 //
 // The zero value is not usable; create pools with NewPool.
@@ -98,7 +98,7 @@ func (p *Pool) ForRange(n, workers, chunk int, body func(lo, hi int)) {
 
 // ForWorker runs body(worker, lo, hi) over disjoint chunks covering [0, n)
 // with worker ids in [0, workers). workers <= 1 runs inline with id 0; a
-// busy or closed pool falls back to ForWorkerSpawn.
+// busy or closed pool falls back to forWorkerSpawn.
 func (p *Pool) ForWorker(n, workers, chunk int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -111,7 +111,7 @@ func (p *Pool) ForWorker(n, workers, chunk int, body func(worker, lo, hi int)) {
 	workers, chunk = normalize(n, workers, chunk)
 	if !p.jobMu.TryLock() {
 		cSpawnFallbacks.Inc()
-		ForWorkerSpawn(n, workers, chunk, body)
+		forWorkerSpawn(n, workers, chunk, body)
 		return
 	}
 	defer p.jobMu.Unlock()
@@ -120,7 +120,7 @@ func (p *Pool) ForWorker(n, workers, chunk int, body func(worker, lo, hi int)) {
 	if p.closed {
 		p.mu.Unlock()
 		cSpawnFallbacks.Inc()
-		ForWorkerSpawn(n, workers, chunk, body)
+		forWorkerSpawn(n, workers, chunk, body)
 		return
 	}
 	// Grow the team to the requested width. New workers capture the
@@ -215,12 +215,10 @@ func normalize(n, workers, chunk int) (int, int) {
 	return workers, chunk
 }
 
-// ForWorkerSpawn is the non-pooled parallel-for: it spawns fresh goroutines
-// for this one call, exactly like the original substrate. It is the
-// fallback for nested or concurrent dispatch on a busy Pool and the
-// reference point for benchmarks comparing spawn-per-call against the
-// persistent team.
-func ForWorkerSpawn(n, workers, chunk int, body func(worker, lo, hi int)) {
+// forWorkerSpawn is the non-pooled parallel-for: it spawns fresh goroutines
+// for this one call. It is the fallback for nested or concurrent dispatch
+// on a busy Pool.
+func forWorkerSpawn(n, workers, chunk int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}

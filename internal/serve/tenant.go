@@ -19,7 +19,16 @@ type tenantLimiter struct {
 	rate    float64 // tokens per second
 	burst   float64
 	buckets map[string]*tokenBucket
+
+	// Pruning state (see prune): the next sweep is due once the map has
+	// grown to sweepLen or a full refill period has passed since sweptAt.
+	sweepLen int
+	sweptAt  time.Time
 }
+
+// minSweepLen is the map size below which only the refill-period trigger
+// sweeps, so a handful of tenants never pay a sweep per admit.
+const minSweepLen = 64
 
 type tokenBucket struct {
 	tokens float64
@@ -45,6 +54,7 @@ func newTenantLimiter(rate float64, burst int) *tenantLimiter {
 func (l *tenantLimiter) admit(tenant string, now time.Time) (retryAfter int, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.prune(now)
 	b := l.buckets[tenant]
 	if b == nil {
 		b = &tokenBucket{tokens: l.burst, last: now}
@@ -62,4 +72,25 @@ func (l *tenantLimiter) admit(tenant string, now time.Time) (retryAfter int, ok 
 	wait := (1 - b.tokens) / l.rate
 	wait *= 1 + rand.Float64()/2
 	return max(1, int(math.Ceil(wait))), false
+}
+
+// prune drops every bucket that has refilled to the full burst. A full
+// bucket behaves exactly like the fresh one admit would create in its
+// place, so pruning changes no admission decision; it only keeps a client
+// that rotates tenant-header values from growing the map without bound.
+// A sweep runs when the map has doubled since the last one (so a flood of
+// new tenants pays O(1) amortized per admit) or when a full refill period
+// has passed (by then every bucket untouched since the last sweep is full,
+// so an idle map shrinks on the next admit).
+func (l *tenantLimiter) prune(now time.Time) {
+	if len(l.buckets) < l.sweepLen && now.Sub(l.sweptAt).Seconds() < l.burst/l.rate {
+		return
+	}
+	for tenant, b := range l.buckets {
+		if b.tokens+now.Sub(b.last).Seconds()*l.rate >= l.burst {
+			delete(l.buckets, tenant)
+		}
+	}
+	l.sweptAt = now
+	l.sweepLen = max(minSweepLen, 2*len(l.buckets))
 }

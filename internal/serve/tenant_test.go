@@ -47,6 +47,63 @@ func TestTenantLimiterBucketMechanics(t *testing.T) {
 	}
 }
 
+// TestTenantLimiterPrunesRefilledBuckets pins the memory bound: buckets of
+// tenants that rotated away are dropped once they have refilled to burst,
+// so distinct X-Tenant values cannot grow the map forever.
+func TestTenantLimiterPrunesRefilledBuckets(t *testing.T) {
+	const rate, burst = 2.0, 4
+	l := newTenantLimiter(rate, burst)
+	t0 := time.Unix(1000, 0)
+	for i := 0; i < burst; i++ {
+		l.admit("hog", t0)
+	}
+	for i := 0; i < 10000; i++ {
+		if _, ok := l.admit("tenant-"+strconv.Itoa(i), t0); !ok {
+			t.Fatalf("first request of tenant %d rejected", i)
+		}
+	}
+	if len(l.buckets) != 10001 {
+		t.Fatalf("buckets = %d after 10001 tenants at t0, want 10001 (none has refilled yet)", len(l.buckets))
+	}
+	// The sweeps the flood triggered kept the exhausted bucket.
+	if _, ok := l.admit("hog", t0); ok {
+		t.Fatal("a sweep reset an exhausted tenant's bucket")
+	}
+	refilled := t0.Add(time.Duration(burst/rate*float64(time.Second)) + time.Second)
+	if _, ok := l.admit("late", refilled); !ok {
+		t.Fatal("late tenant rejected")
+	}
+	if n := len(l.buckets); n > 2 {
+		t.Fatalf("buckets = %d after every t0 tenant refilled, want ≤ 2", n)
+	}
+	// A pruned tenant comes back to a full burst, exactly as if its bucket
+	// had been kept.
+	for i := 0; i < burst; i++ {
+		if _, ok := l.admit("tenant-0", refilled); !ok {
+			t.Fatalf("returning tenant request %d rejected", i)
+		}
+	}
+	if _, ok := l.admit("tenant-0", refilled); ok {
+		t.Fatal("returning tenant got more than its burst")
+	}
+}
+
+// TestTenantLimiterPruneKeepsUpWithFlood covers the doubling trigger: with
+// a refill period far longer than the flood, one-shot tenants refill
+// after 1/rate seconds and the map-doubling sweeps drop them long before
+// the period-based sweep would.
+func TestTenantLimiterPruneKeepsUpWithFlood(t *testing.T) {
+	l := newTenantLimiter(1, 1000) // refill period 1000s
+	t0 := time.Unix(1000, 0)
+	for i := 0; i < 10000; i++ {
+		l.admit("tenant-"+strconv.Itoa(i), t0.Add(time.Duration(i)*10*time.Millisecond))
+	}
+	// About 100 tenants arrived in the last second; the rest are full.
+	if n := len(l.buckets); n > 1000 {
+		t.Fatalf("buckets = %d after a 100 s flood of one-shot tenants, want ≤ 1000", n)
+	}
+}
+
 func TestTenantQuota429WithRetryAfter(t *testing.T) {
 	_, ts, reg := newTestServer(t, Config{Workers: 1, TenantHeader: "X-Tenant", TenantRate: 0.5, TenantBurst: 2})
 	body := pathGraphBytes(t, 20)
