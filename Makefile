@@ -57,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadAuto -fuzztime=15s -run='^$$' ./internal/graphio/
 	$(GO) test -fuzz=FuzzReadMETIS -fuzztime=15s -run='^$$' ./internal/graphio/
 	$(GO) test -fuzz=FuzzCheckpointParse -fuzztime=15s -run='^$$' ./internal/checkpoint/
+	$(GO) test -fuzz=FuzzParseAnytime -fuzztime=15s -run='^$$' ./internal/serve/
 
 # chaos runs the crash-safety end-to-end test: build a real fdiamd, kill -9
 # it mid-solve, restart it over the same -checkpoint-dir, and verify the

@@ -145,22 +145,26 @@ func DiameterCtx(ctx context.Context, g *Graph, opt Options) Result {
 	return core.DiameterCtx(ctx, g, opt)
 }
 
-// Eccentricities computes the exact eccentricity of every vertex by brute
-// force (one BFS per vertex, parallelized over sources). O(nm): intended
-// for small graphs and validation, not for the workloads F-Diam targets.
-func Eccentricities(g *Graph, workers int) []int32 { return ecc.All(g, workers) }
+// Eccentricities computes the exact eccentricity of every vertex with
+// Takes–Kosters eccentricity bounding (see AllEccentricities) —
+// typically a small fraction of n BFS traversals.
+func Eccentricities(g *Graph, workers int) []int32 {
+	eccs, _ := AllEccentricities(g, workers)
+	return eccs
+}
 
-// RadiusAndCenter computes the graph radius (smallest eccentricity) and the
-// center vertices attaining it, by brute force. O(nm).
+// RadiusAndCenter computes the graph radius (smallest eccentricity within
+// the largest connected component) and the center vertices attaining it,
+// from the bounded eccentricities of AnalyzeNetwork.
 func RadiusAndCenter(g *Graph, workers int) (int32, []Vertex) {
-	info := ecc.Compute(g, workers)
+	info := AnalyzeNetwork(g, workers)
 	return info.Radius, info.Center
 }
 
-// Periphery computes the vertices attaining the diameter, by brute force.
-// O(nm).
+// Periphery computes the largest connected component's vertices attaining
+// its diameter, from the bounded eccentricities of AnalyzeNetwork.
 func Periphery(g *Graph, workers int) []Vertex {
-	return ecc.Compute(g, workers).Periphery
+	return AnalyzeNetwork(g, workers).Periphery
 }
 
 // BaselineResult is the outcome of one of the prior-work algorithms.
@@ -235,7 +239,7 @@ func AnalyzeNetwork(g *Graph, workers int) NetworkInfo {
 // the (sound but inexact) lower bounds established so far — use
 // AllEccentricitiesCtx directly when the truncation verdict matters.
 func AnalyzeNetworkCtx(ctx context.Context, g *Graph, workers int) NetworkInfo {
-	return ecc.FastInfo(ctx, g, workers)
+	return ecc.Summarize(g, ecc.BoundedAll(ctx, g, workers).Eccs)
 }
 
 // AllEccentricities computes the exact eccentricity of every vertex with

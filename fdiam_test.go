@@ -2,11 +2,16 @@ package fdiam
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"fdiam/internal/ecc"
+	"fdiam/internal/gen"
 )
 
 func TestQuickstartShape(t *testing.T) {
@@ -53,6 +58,24 @@ func TestEccentricityHelpers(t *testing.T) {
 	p := Periphery(g, 0)
 	if len(p) != 2 {
 		t.Fatalf("periphery = %v", p)
+	}
+	// The helpers run on eccentricity bounding; they must return exactly
+	// the brute-force values, disconnected inputs included.
+	for _, g := range []*Graph{
+		NewRandomConnected(300, 150, 9),
+		gen.Disjoint(gen.Grid2D(9, 11), gen.Path(30)),
+	} {
+		want := ecc.Summarize(g, ecc.All(context.Background(), g, 0).Eccs)
+		if eccs := Eccentricities(g, 0); !slices.Equal(eccs, want.Eccs) {
+			t.Fatalf("eccs %v, want %v", eccs, want.Eccs)
+		}
+		r, center := RadiusAndCenter(g, 0)
+		if r != want.Radius || !slices.Equal(center, want.Center) {
+			t.Fatalf("radius %d center %v, want %d %v", r, center, want.Radius, want.Center)
+		}
+		if p := Periphery(g, 0); !slices.Equal(p, want.Periphery) {
+			t.Fatalf("periphery %v, want %v", p, want.Periphery)
+		}
 	}
 }
 

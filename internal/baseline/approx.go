@@ -137,18 +137,3 @@ func RodittyWilliams(g *graph.Graph, s int, seed uint64, opt Options) ApproxResu
 	}
 	return res
 }
-
-// TwoApprox returns the classic 2-approximation: the eccentricity of an
-// arbitrary vertex v satisfies ecc(v) ≤ D ≤ 2·ecc(v). One BFS.
-func TwoApprox(g *graph.Graph, opt Options) ApproxResult {
-	var res ApproxResult
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.Degree(graph.Vertex(v)) > 0 {
-			e := bfs.New(g, opt.Workers)
-			res.Estimate = e.Eccentricity(graph.Vertex(v))
-			res.BFSTraversals = 1
-			return res
-		}
-	}
-	return res
-}

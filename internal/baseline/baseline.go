@@ -12,6 +12,7 @@
 package baseline
 
 import (
+	"context"
 	"time"
 
 	"fdiam/internal/graph"
@@ -40,16 +41,16 @@ type Result struct {
 	TimedOut bool
 }
 
-// deadlineOf converts a timeout into an absolute deadline (zero = none).
-func deadlineOf(opt Options) time.Time {
+// context turns Timeout into a context deadline (none when Timeout ≤ 0).
+// Every baseline polls the returned context where it may give up, and the
+// ctx-aware kernels it delegates to (ecc, MS-BFS) abort on it too.
+func (opt Options) context() (context.Context, context.CancelFunc) {
+	//fdiamlint:ignore ctxflow baseline comparators are ctx-less by contract (Options.Timeout); this is the conversion root
+	ctx := context.Background()
 	if opt.Timeout <= 0 {
-		return time.Time{}
+		return context.WithCancel(ctx)
 	}
-	return time.Now().Add(opt.Timeout)
-}
-
-func expired(deadline time.Time) bool {
-	return !deadline.IsZero() && time.Now().After(deadline)
+	return context.WithTimeout(ctx, opt.Timeout)
 }
 
 // isInfinite decides connectivity from a components labeling.

@@ -39,11 +39,13 @@ func checkAll(t *testing.T, name string, g *graph.Graph) {
 	}
 }
 
-func TestBaselinesKnownShapes(t *testing.T) {
-	cases := []struct {
-		name string
-		g    *graph.Graph
-	}{
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+func knownShapes() []namedGraph {
+	return []namedGraph{
 		{"empty", graph.NewBuilder(0).Build()},
 		{"singleton", graph.NewBuilder(1).Build()},
 		{"edge", gen.Path(2)},
@@ -58,26 +60,34 @@ func TestBaselinesKnownShapes(t *testing.T) {
 		{"barbell", gen.Barbell(5, 4)},
 		{"caterpillar", gen.Caterpillar(12, 2)},
 	}
-	for _, c := range cases {
+}
+
+func randomConnected(seed uint64) *graph.Graph {
+	return gen.RandomConnected(20+int(seed*11)%120, int(seed*5)%50, seed)
+}
+
+func disconnected() []*graph.Graph {
+	return []*graph.Graph{
+		gen.Disjoint(gen.Path(12), gen.Cycle(20)),
+		gen.Disjoint(gen.Star(8), graph.NewBuilder(4).Build()),
+		gen.Disjoint(gen.RandomConnected(30, 10, 1), gen.RandomTree(25, 2)),
+	}
+}
+
+func TestBaselinesKnownShapes(t *testing.T) {
+	for _, c := range knownShapes() {
 		t.Run(c.name, func(t *testing.T) { checkAll(t, c.name, c.g) })
 	}
 }
 
 func TestBaselinesRandom(t *testing.T) {
 	for seed := uint64(0); seed < 12; seed++ {
-		n := 20 + int(seed*11)%120
-		g := gen.RandomConnected(n, int(seed*5)%50, seed)
-		checkAll(t, fmt.Sprintf("rand-%d", seed), g)
+		checkAll(t, fmt.Sprintf("rand-%d", seed), randomConnected(seed))
 	}
 }
 
 func TestBaselinesDisconnected(t *testing.T) {
-	cases := []*graph.Graph{
-		gen.Disjoint(gen.Path(12), gen.Cycle(20)),
-		gen.Disjoint(gen.Star(8), graph.NewBuilder(4).Build()),
-		gen.Disjoint(gen.RandomConnected(30, 10, 1), gen.RandomTree(25, 2)),
-	}
-	for i, g := range cases {
+	for i, g := range disconnected() {
 		want := ecc.Diameter(g, 0)
 		for _, a := range algos {
 			got := a.run(g, Options{Workers: 1})
@@ -103,12 +113,8 @@ func TestSweepBoundsAreValidLowerBounds(t *testing.T) {
 		g := gen.RandomConnected(60+int(seed*9)%100, int(seed*3)%40, seed+50)
 		diam := ecc.Diameter(g, 0)
 		start := g.MaxDegreeVertex()
-		two := TwoSweepLB(g, start, Options{Workers: 1})
 		four, center := FourSweepLB(g, start, Options{Workers: 1})
-		if two > diam || two < 1 {
-			t.Errorf("seed %d: 2-sweep bound %d outside (0, %d]", seed, two, diam)
-		}
-		if four > diam || four < two/1 && four < 1 {
+		if four > diam || four < 1 {
 			t.Errorf("seed %d: 4-sweep bound %d outside (0, %d]", seed, four, diam)
 		}
 		if int(center) >= g.NumVertices() {
@@ -153,6 +159,56 @@ func TestBaselineTimeout(t *testing.T) {
 		res := a.run(g, Options{Workers: 1, Timeout: 1})
 		if !res.TimedOut {
 			t.Errorf("%s: expected timeout with 1ns budget", a.name)
+		}
+	}
+}
+
+// TestTakesKostersTrajectoryPinned pins the Takes–Kosters answer and BFS
+// count per graph. The values were recorded from the standalone
+// BoundingDiameters loop before it was folded onto ecc's bounding kernel;
+// the diameter-only pruning rule must keep reproducing them at every
+// worker count.
+func TestTakesKostersTrajectoryPinned(t *testing.T) {
+	type want struct {
+		diam     int32
+		infinite bool
+		bfs      int64
+	}
+	wants := map[string]want{
+		"empty": {0, false, 0}, "singleton": {0, false, 0}, "edge": {1, false, 2},
+		"path50": {49, false, 3}, "cycle33": {16, false, 33}, "cycle34": {17, false, 34},
+		"star20": {2, false, 2}, "complete10": {1, false, 10}, "grid7x9": {14, false, 7},
+		"tree5": {8, false, 3}, "lollipop": {10, false, 3}, "barbell": {7, false, 3}, "caterpillar": {13, false, 3},
+		"rand-0": {9, false, 3}, "rand-1": {9, false, 4}, "rand-2": {11, false, 6},
+		"rand-3": {12, false, 6}, "rand-4": {9, false, 7}, "rand-5": {10, false, 15},
+		"rand-6": {10, false, 10}, "rand-7": {10, false, 10}, "rand-8": {9, false, 39},
+		"rand-9": {11, false, 17}, "rand-10": {15, false, 3}, "rand-11": {6, false, 7},
+		"disjoint-0": {11, true, 19}, "disjoint-1": {2, true, 2}, "disjoint-2": {10, true, 6},
+		"ba2000": {6, false, 398}, "whiskers5000": {18, false, 62}, "road60sub2": {240, false, 12},
+	}
+	graphs := knownShapes()
+	for seed := uint64(0); seed < 12; seed++ {
+		graphs = append(graphs, namedGraph{fmt.Sprintf("rand-%d", seed), randomConnected(seed)})
+	}
+	for i, g := range disconnected() {
+		graphs = append(graphs, namedGraph{fmt.Sprintf("disjoint-%d", i), g})
+	}
+	graphs = append(graphs,
+		namedGraph{"ba2000", gen.BarabasiAlbert(2000, 3, 7)},
+		namedGraph{"whiskers5000", gen.CoreWhiskers(5000, 5, 0.2, 6, 3)},
+		namedGraph{"road60sub2", gen.Subdivide(gen.RoadNetwork(60, 60, 0.3, 4), 2)},
+	)
+	if len(graphs) != len(wants) {
+		t.Fatalf("%d graphs for %d pinned values", len(graphs), len(wants))
+	}
+	for _, c := range graphs {
+		w := wants[c.name]
+		for _, workers := range []int{1, 2} {
+			got := TakesKosters(c.g, Options{Workers: workers})
+			if got.Diameter != w.diam || got.Infinite != w.infinite || got.BFSTraversals != w.bfs {
+				t.Errorf("%s (workers=%d): got diameter %d infinite %v in %d BFS, want %d %v in %d",
+					c.name, workers, got.Diameter, got.Infinite, got.BFSTraversals, w.diam, w.infinite, w.bfs)
+			}
 		}
 	}
 }

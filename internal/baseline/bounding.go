@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"fdiam/internal/bfs"
+	"fdiam/internal/ecc"
 	"fdiam/internal/graph"
 )
 
@@ -22,7 +23,8 @@ import (
 // costly, and the main structural difference from F-Diam's partial-BFS
 // Eliminate.
 func Bounding(g *graph.Graph, opt Options) Result {
-	deadline := deadlineOf(opt)
+	ctx, cancel := opt.context()
+	defer cancel()
 	res := Result{Infinite: isInfinite(g)}
 	n := g.NumVertices()
 	if n == 0 {
@@ -66,7 +68,7 @@ func Bounding(g *graph.Graph, opt Options) Result {
 		if hi[v] <= res.Diameter {
 			continue
 		}
-		if expired(deadline) {
+		if ctx.Err() != nil {
 			res.TimedOut = true
 			return res
 		}
@@ -92,95 +94,11 @@ func Bounding(g *graph.Graph, opt Options) Result {
 // bound-tightener). This is a strictly stronger selection strategy than
 // Bounding's fixed pass — on road networks it often finishes in a handful
 // of traversals — and is provided as an extension baseline beyond the
-// paper's comparison set.
+// paper's comparison set. The loop is ecc's bounding kernel in its
+// diameter-only mode.
 func TakesKosters(g *graph.Graph, opt Options) Result {
-	deadline := deadlineOf(opt)
-	res := Result{Infinite: isInfinite(g)}
-	n := g.NumVertices()
-	if n == 0 {
-		return res
-	}
-	e := bfs.New(g, opt.Workers)
-	dist := make([]int32, n)
-	lo := make([]int32, n)
-	hi := make([]int32, n)
-	alive := make([]bool, n)
-	aliveCount := 0
-	for v := 0; v < n; v++ {
-		if g.Degree(graph.Vertex(v)) == 0 {
-			continue // ecc 0, cannot set the diameter of a non-trivial graph
-		}
-		lo[v] = 0
-		hi[v] = int32(n) // ∞ surrogate
-		alive[v] = true
-		aliveCount++
-	}
-
-	pickHigh := true
-	for aliveCount > 0 {
-		if expired(deadline) {
-			res.TimedOut = true
-			return res
-		}
-		sel := graph.NoVertex
-		for v := 0; v < n; v++ {
-			if !alive[v] {
-				continue
-			}
-			if sel == graph.NoVertex {
-				sel = graph.Vertex(v)
-				continue
-			}
-			better := false
-			if pickHigh {
-				if hi[v] > hi[sel] || (hi[v] == hi[sel] && g.Degree(graph.Vertex(v)) > g.Degree(sel)) {
-					better = true
-				}
-			} else {
-				if lo[v] < lo[sel] || (lo[v] == lo[sel] && g.Degree(graph.Vertex(v)) > g.Degree(sel)) {
-					better = true
-				}
-			}
-			if better {
-				sel = graph.Vertex(v)
-			}
-		}
-		pickHigh = !pickHigh
-
-		ecc := e.Distances(sel, dist)
-		res.BFSTraversals++
-		if ecc > res.Diameter {
-			res.Diameter = ecc
-		}
-		for v := 0; v < n; v++ {
-			if !alive[v] {
-				continue
-			}
-			d := dist[v]
-			if d < 0 {
-				continue // other component: untouched
-			}
-			if l := max32(d, ecc-d); l > lo[v] {
-				lo[v] = l
-			}
-			if u := ecc + d; u < hi[v] {
-				hi[v] = u
-			}
-			if lo[v] > res.Diameter {
-				res.Diameter = lo[v]
-			}
-			if hi[v] <= res.Diameter || lo[v] == hi[v] {
-				alive[v] = false
-				aliveCount--
-			}
-		}
-	}
-	return res
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
+	ctx, cancel := opt.context()
+	defer cancel()
+	diam, traversals, truncated := ecc.BoundedDiameter(ctx, g, opt.Workers)
+	return Result{Diameter: diam, Infinite: isInfinite(g), BFSTraversals: traversals, TimedOut: truncated}
 }

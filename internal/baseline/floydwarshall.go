@@ -20,7 +20,8 @@ const fwInf int32 = 1 << 29
 // Refuses graphs beyond maxFloydWarshallVertices; the original tops out at
 // 32,768 vertices on a GPU.
 func FloydWarshall(g *graph.Graph, opt Options) Result {
-	deadline := deadlineOf(opt)
+	ctx, cancel := opt.context()
+	defer cancel()
 	res := Result{Infinite: isInfinite(g)}
 	n := g.NumVertices()
 	if n == 0 {
@@ -72,7 +73,7 @@ func FloydWarshall(g *graph.Graph, opt Options) Result {
 	}
 
 	for k := 0; k < nb; k++ {
-		if expired(deadline) {
+		if ctx.Err() != nil {
 			res.TimedOut = true
 			return res
 		}

@@ -107,23 +107,6 @@ func TestRodittyWilliamsDegenerate(t *testing.T) {
 	}
 }
 
-func TestTwoApprox(t *testing.T) {
-	for seed := uint64(0); seed < 6; seed++ {
-		g := gen.RandomConnected(150, int(seed*11)%100, seed+50)
-		d := ecc.Diameter(g, 0)
-		res := TwoApprox(g, Options{})
-		if res.Estimate > d || 2*res.Estimate < d {
-			t.Errorf("seed %d: estimate %d not within [D/2, D] of %d", seed, res.Estimate, d)
-		}
-		if res.BFSTraversals != 1 {
-			t.Errorf("two-approx used %d traversals", res.BFSTraversals)
-		}
-	}
-	if res := TwoApprox(graph.NewBuilder(3).Build(), Options{}); res.Estimate != 0 {
-		t.Error("edgeless graph")
-	}
-}
-
 func BenchmarkFloydWarshall(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		g := gen.RandomConnected(n, 2*n, 7)

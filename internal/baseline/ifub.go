@@ -17,7 +17,8 @@ import (
 // algorithm stops. Parallelism, as in the paper's evaluation, is inside
 // each BFS.
 func IFUB(g *graph.Graph, opt Options) Result {
-	deadline := deadlineOf(opt)
+	ctx, cancel := opt.context()
+	defer cancel()
 	res := Result{Infinite: isInfinite(g)}
 	n := g.NumVertices()
 	if n == 0 {
@@ -48,7 +49,7 @@ func IFUB(g *graph.Graph, opt Options) Result {
 				}
 			}
 		}
-		if expired(deadline) {
+		if ctx.Err() != nil {
 			res.TimedOut = true
 			return res
 		}
@@ -80,7 +81,7 @@ func IFUB(g *graph.Graph, opt Options) Result {
 				break
 			}
 			for _, v := range fringes[i] {
-				if expired(deadline) {
+				if ctx.Err() != nil {
 					res.TimedOut = true
 					return res
 				}
@@ -93,6 +94,18 @@ func IFUB(g *graph.Graph, opt Options) Result {
 		}
 	}
 	return res
+}
+
+// FourSweepLB returns the 4-SWEEP lower bound and the central vertex it
+// discovers (used by iFUB).
+func FourSweepLB(g *graph.Graph, start graph.Vertex, opt Options) (lb int32, center graph.Vertex) {
+	if g.NumVertices() == 0 || g.Degree(start) == 0 {
+		return 0, start
+	}
+	e := bfs.New(g, opt.Workers)
+	var traversals int64
+	center, lb = fourSweep(g, e, start, &traversals)
+	return lb, center
 }
 
 // fourSweep performs the 4-SWEEP heuristic: two double sweeps whose path

@@ -18,7 +18,8 @@ import (
 // with Winnowing. It is implemented serially; it serves as an extension
 // baseline, not a headline competitor.
 func Korf(g *graph.Graph, opt Options) Result {
-	deadline := deadlineOf(opt)
+	ctx, cancel := opt.context()
+	defer cancel()
 	res := Result{Infinite: isInfinite(g)}
 	n := g.NumVertices()
 	if n == 0 {
@@ -42,7 +43,7 @@ func Korf(g *graph.Graph, opt Options) Result {
 		if !inS[s] {
 			continue
 		}
-		if expired(deadline) {
+		if ctx.Err() != nil {
 			res.TimedOut = true
 			return res
 		}

@@ -1,59 +1,21 @@
 package baseline
 
 import (
-	"fdiam/internal/bfs"
+	"fdiam/internal/ecc"
 	"fdiam/internal/graph"
 )
 
 // Naive computes the diameter by running a full BFS from every vertex —
-// the APSP-by-BFS approach the paper's introduction starts from. O(nm);
-// ground truth for tests and the yardstick that makes Table 3's traversal
-// counts meaningful.
+// the APSP-by-BFS approach the paper's introduction starts from,
+// parallelized over sources by ecc.All. O(nm); ground truth for tests and
+// the yardstick that makes Table 3's traversal counts meaningful.
 func Naive(g *graph.Graph, opt Options) Result {
-	deadline := deadlineOf(opt)
-	res := Result{Infinite: isInfinite(g)}
-	e := bfs.New(g, opt.Workers)
-	n := g.NumVertices()
-	for v := 0; v < n; v++ {
-		if g.Degree(graph.Vertex(v)) == 0 {
-			continue
-		}
-		if expired(deadline) {
-			res.TimedOut = true
-			return res
-		}
-		ecc := e.Eccentricity(graph.Vertex(v))
-		res.BFSTraversals++
-		if ecc > res.Diameter {
-			res.Diameter = ecc
-		}
+	ctx, cancel := opt.context()
+	defer cancel()
+	all := ecc.All(ctx, g, opt.Workers)
+	res := Result{Infinite: isInfinite(g), BFSTraversals: all.BFSTraversals, TimedOut: all.Truncated}
+	for _, e := range all.Eccs {
+		res.Diameter = max(res.Diameter, e)
 	}
 	return res
-}
-
-// TwoSweepLB returns the classic 2-sweep diameter lower bound from the
-// given start vertex: the eccentricity of a vertex maximally far from
-// start. This is F-Diam's initial bound (§4.1); exposed separately so its
-// tightness can be measured (the paper notes it is "often very close to
-// the exact diameter").
-func TwoSweepLB(g *graph.Graph, start graph.Vertex, opt Options) int32 {
-	if g.NumVertices() == 0 || g.Degree(start) == 0 {
-		return 0
-	}
-	e := bfs.New(g, opt.Workers)
-	_ = e.Eccentricity(start)
-	w := e.LastFrontier()[0]
-	return e.Eccentricity(w)
-}
-
-// FourSweepLB returns the 4-SWEEP lower bound and the central vertex it
-// discovers (used by iFUB).
-func FourSweepLB(g *graph.Graph, start graph.Vertex, opt Options) (lb int32, center graph.Vertex) {
-	if g.NumVertices() == 0 || g.Degree(start) == 0 {
-		return 0, start
-	}
-	e := bfs.New(g, opt.Workers)
-	var traversals int64
-	center, lb = fourSweep(g, e, start, &traversals)
-	return lb, center
 }

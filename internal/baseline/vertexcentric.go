@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"context"
-
 	"fdiam/internal/bfs"
 	"fdiam/internal/graph"
 )
@@ -17,21 +15,14 @@ import (
 // graphs, and either way the approach performs Θ(n·m/64) work, so it is
 // only competitive on small graphs (their own observation).
 func VertexCentric(g *graph.Graph, opt Options) Result {
-	deadline := deadlineOf(opt)
+	// The context also lets the MS-BFS engine abort mid-sweep (truncated
+	// level counts are still valid lower bounds).
+	ctx, cancel := opt.context()
+	defer cancel()
 	res := Result{Infinite: isInfinite(g)}
 	n := g.NumVertices()
 	if n == 0 {
 		return res
-	}
-	// The baseline API's cancellation contract is Options.Timeout; convert
-	// it into a context deadline here so the MS-BFS engine can also abort
-	// mid-sweep (truncated level counts are still valid lower bounds).
-	//fdiamlint:ignore ctxflow baseline comparators are ctx-less by contract (Options.Timeout); this is the conversion root
-	ctx := context.Background()
-	if opt.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
 	}
 	// Process sources in batches so the timeout can take effect between
 	// sweeps; each batch counts as its 64 traversals for Table 3-style
@@ -45,7 +36,7 @@ func VertexCentric(g *graph.Graph, opt Options) Result {
 		if len(batch) < 64 && v != n-1 {
 			continue
 		}
-		if expired(deadline) {
+		if ctx.Err() != nil {
 			res.TimedOut = true
 			return res
 		}

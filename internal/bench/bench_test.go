@@ -281,6 +281,28 @@ func TestExtensionExperiments(t *testing.T) {
 	}
 }
 
+// Regression: the all-eccentricities table took the radius over every
+// non-isolated vertex, so a stray 2-vertex component (ecc 1) masked the
+// largest component's radius. It must report ecc.Info's radius: 20 for a
+// 40-vertex path.
+func TestAllEccTableRadiusUsesLargestComponent(t *testing.T) {
+	wl := &Workload{Name: "path40+edge", Build: func() *graph.Graph {
+		return gen.Disjoint(gen.Path(40), gen.Path(2))
+	}}
+	var buf bytes.Buffer
+	TableAllEcc(context.Background(), &buf, []*Workload{wl}, quickCfg())
+	var row []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == wl.Name {
+			row = f
+		}
+	}
+	// graph, vertices, BFS used, saving, diameter, radius, time
+	if len(row) != 7 || row[4] != "39" || row[5] != "20" {
+		t.Fatalf("row %q, want diameter 39 and radius 20:\n%s", row, buf.String())
+	}
+}
+
 func TestTableRenderGolden(t *testing.T) {
 	tb := NewTable("T", "name", "v1", "v2")
 	tb.Add("a", "1", "2")

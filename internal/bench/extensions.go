@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fdiam/internal/baseline"
+	"fdiam/internal/core"
 	"fdiam/internal/ecc"
 	"fdiam/internal/graph"
 	"fdiam/internal/stats"
@@ -95,7 +96,8 @@ func TableExtensions(w io.Writer, workloads []*Workload, cfg Config) {
 
 // TableAllEcc measures the bounded all-eccentricities computation
 // (diameter + radius + full distribution) against brute force, reporting
-// the traversal savings. Cancelling ctx stops mid-catalog with the rows
+// the traversal savings. Diameter and radius follow ecc.Info: the radius
+// is the largest component's. Cancelling ctx stops mid-catalog with the rows
 // rendered so far (a truncated eccentricity run is reported as such).
 func TableAllEcc(ctx context.Context, w io.Writer, workloads []*Workload, cfg Config) {
 	t := NewTable("Extension table: all-vertex eccentricities via bounding (vs n brute-force BFS)",
@@ -106,28 +108,18 @@ func TableAllEcc(ctx context.Context, w io.Writer, workloads []*Workload, cfg Co
 		start := time.Now()
 		res := ecc.BoundedAll(ctx, g, cfg.Workers)
 		elapsed := time.Since(start)
-		var diam, radius int32
-		radius = int32(n)
-		for v := 0; v < n; v++ {
-			e := res.Eccs[v]
-			if e > diam {
-				diam = e
-			}
-			if g.Degree(graph.Vertex(v)) > 0 && e < radius {
-				radius = e
-			}
-		}
+		info := ecc.Summarize(g, res.Eccs)
 		saving := "n/a"
 		if res.BFSTraversals > 0 {
 			saving = fmt.Sprintf("%.1fx", float64(n)/float64(res.BFSTraversals))
 		}
-		diamCol := fmt.Sprintf("%d", diam)
+		diamCol := fmt.Sprintf("%d", info.Diameter)
 		if res.Truncated {
 			diamCol += " (truncated)"
 		}
 		t.Add(wl.Name, stats.FormatCount(int64(n)),
 			fmt.Sprintf("%d", res.BFSTraversals), saving,
-			diamCol, fmt.Sprintf("%d", radius),
+			diamCol, fmt.Sprintf("%d", info.Radius),
 			elapsed.Round(time.Millisecond).String())
 		wl.Release()
 		if ctx.Err() != nil {
@@ -139,8 +131,9 @@ func TableAllEcc(ctx context.Context, w io.Writer, workloads []*Workload, cfg Co
 
 // TableTwoSweep measures how tight the 2-sweep initial bound is — the
 // paper notes it is "often very close to the exact diameter" (§4.2), which
-// is what makes the first Winnow so effective. Also reports the 4-SWEEP
-// bound iFUB uses.
+// is what makes the first Winnow so effective. The 2-sweep column is
+// core's approximation mode with a single double sweep, which starts where
+// the exact run does. Also reports the 4-SWEEP bound iFUB uses.
 func TableTwoSweep(w io.Writer, workloads []*Workload, cfg Config) {
 	t := NewTable("Extension table: initial lower-bound tightness (2-sweep seeds F-Diam, 4-sweep seeds iFUB)",
 		"graph", "diameter", "2-sweep", "gap", "4-sweep", "gap")
@@ -148,7 +141,7 @@ func TableTwoSweep(w io.Writer, workloads []*Workload, cfg Config) {
 		g := wl.Graph()
 		out := FDiamPar.Run(g, cfg.Workers, cfg.Timeout)
 		start := g.MaxDegreeVertex()
-		two := baseline.TwoSweepLB(g, start, baseline.Options{Workers: cfg.Workers})
+		two := core.Diameter(g, core.Options{Workers: cfg.Workers, Approx: core.ApproxOptions{Sweeps: 1}}).Diameter
 		four, _ := baseline.FourSweepLB(g, start, baseline.Options{Workers: cfg.Workers})
 		t.Add(wl.Name,
 			fmtCountOrTO(int64(out.Diameter), out.TimedOut),

@@ -167,24 +167,8 @@ func (e *Engine) Close() {
 	}
 }
 
-// Graph returns the graph the engine is bound to.
-func (e *Engine) Graph() *graph.Graph { return e.g }
-
 // Workers returns the configured parallelism.
 func (e *Engine) Workers() int { return e.workers }
-
-// SetWorkers reconfigures the parallelism for subsequent traversals. The
-// per-worker buffer table only ever grows — shrinking keeps the warm
-// buffers so a later grow reuses them instead of reallocating.
-func (e *Engine) SetWorkers(w int) {
-	if w < 1 {
-		w = par.DefaultWorkers()
-	}
-	e.workers = w
-	for len(e.bufs) < w {
-		e.bufs = append(e.bufs, nil)
-	}
-}
 
 // SetDirectionOptimized enables or disables the bottom-up hybrid for full
 // traversals (enabled by default).
@@ -258,10 +242,6 @@ func (e *Engine) DirectionSwitches() int64 { return e.switches }
 // LastTraversalSwitches returns the direction-switch count of the most
 // recent traversal.
 func (e *Engine) LastTraversalSwitches() int64 { return e.lastSwitches }
-
-// CountTraversal lets callers (e.g. Winnow) add to the traversal count, as
-// the paper counts a Winnow as a BFS traversal (§6.3).
-func (e *Engine) CountTraversal() { e.fullTraversals++ }
 
 // Eccentricity runs a full direction-optimized BFS from src and returns the
 // number of levels minus one, i.e. the eccentricity of src within its

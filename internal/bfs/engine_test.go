@@ -257,26 +257,10 @@ func TestTraversalCounter(t *testing.T) {
 	if e.Traversals() != 3 {
 		t.Errorf("traversals = %d, want 3", e.Traversals())
 	}
-	e.CountTraversal()
-	if e.Traversals() != 4 {
-		t.Errorf("traversals = %d, want 4", e.Traversals())
-	}
-}
-
-func TestSetWorkers(t *testing.T) {
-	g := gen.RandomConnected(400, 400, 11)
-	e := New(g, 1)
-	want := e.Eccentricity(7)
-	for _, w := range []int{2, 8, 16} {
-		e.SetWorkers(w)
-		if got := e.Eccentricity(7); got != want {
-			t.Errorf("workers=%d: ecc %d, want %d", w, got, want)
-		}
-	}
 }
 
 func TestMarksEpochIsolation(t *testing.T) {
-	m := NewMarks(10)
+	m := &Marks{cnt: make([]uint32, 10)}
 	m.Next()
 	m.Visit(3)
 	if !m.Visited(3) || m.Visited(4) {
@@ -295,7 +279,7 @@ func TestMarksEpochIsolation(t *testing.T) {
 }
 
 func TestMarksWraparound(t *testing.T) {
-	m := NewMarks(4)
+	m := &Marks{cnt: make([]uint32, 4)}
 	m.epoch = ^uint32(0) // one before wraparound
 	m.Visit(1)
 	m.Next() // wraps: array must be cleared
@@ -367,12 +351,5 @@ func TestEngineReusedAcrossComponents(t *testing.T) {
 				t.Fatalf("round %d: ecc(%d) = %d, want %d", round, src, got, want)
 			}
 		}
-	}
-}
-
-func TestGraphAccessor(t *testing.T) {
-	g := gen.Path(3)
-	if New(g, 1).Graph() != g {
-		t.Fatal("Graph() accessor broken")
 	}
 }

@@ -22,14 +22,6 @@ type Marks struct {
 	epoch uint32
 }
 
-// NewMarks creates marks for n vertices.
-func NewMarks(n int) *Marks {
-	return &Marks{cnt: make([]uint32, n)}
-}
-
-// Len returns the number of vertices covered.
-func (m *Marks) Len() int { return len(m.cnt) }
-
 // Next starts a new traversal epoch. On the (astronomically rare) uint32
 // wraparound the counter array is cleared so stale marks cannot alias.
 func (m *Marks) Next() {

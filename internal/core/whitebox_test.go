@@ -5,6 +5,7 @@ package core
 // end-to-end diameter.
 
 import (
+	"context"
 	"testing"
 
 	"fdiam/internal/ecc"
@@ -117,7 +118,7 @@ func TestEliminateMarksBallWithValidBounds(t *testing.T) {
 	// bound by Theorem 1).
 	for seed := uint64(0); seed < 8; seed++ {
 		g := gen.RandomConnected(200, int(seed*29)%150, seed+1100)
-		trueEcc := ecc.All(g, 0)
+		trueEcc := ecc.All(context.Background(), g, 0).Eccs
 		src := graph.Vertex(int(seed*37) % g.NumVertices())
 		bound := trueEcc[src] + 3 // pretend the diameter bound is 3 above
 
@@ -185,7 +186,7 @@ func TestRecordedValuesAreUpperBoundsAfterFullRun(t *testing.T) {
 	// Chain's sentinel values are near chainMax and also respect ≥.
 	for seed := uint64(0); seed < 10; seed++ {
 		g := gen.WithChains(gen.RandomConnected(150, 100, seed+1200), 4, 4, seed+1300)
-		trueEcc := ecc.All(g, 0)
+		trueEcc := ecc.All(context.Background(), g, 0).Eccs
 		s := newSolver(g, Options{Workers: 1})
 		res := s.run()
 		if res.TimedOut {
@@ -310,7 +311,7 @@ func TestTheorem2WinnowSafety(t *testing.T) {
 	// the diameter exceeds the bound).
 	for seed := uint64(0); seed < 10; seed++ {
 		g := gen.RandomConnected(150, int(seed*17)%100, seed+1600)
-		info := ecc.Compute(g, 0)
+		info := ecc.Summarize(g, ecc.All(context.Background(), g, 0).Eccs)
 		s := prepSolver(g, Options{Workers: 1})
 		s.start = g.MaxDegreeVertex()
 		// Use a deliberately low bound — winnowing must STILL keep a

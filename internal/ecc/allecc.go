@@ -8,7 +8,7 @@ import (
 	"fdiam/internal/graph"
 )
 
-// AllResult is the outcome of the bounded all-eccentricities computation.
+// AllResult is the outcome of an all-eccentricities computation.
 type AllResult struct {
 	// Eccs holds the exact eccentricity of every vertex (per connected
 	// component).
@@ -38,12 +38,38 @@ type AllResult struct {
 // result then carries Truncated=true with lower bounds in place of the
 // unresolved eccentricities.
 func BoundedAll(ctx context.Context, g *graph.Graph, workers int) AllResult {
+	res, _ := bounding(ctx, g, workers, false)
+	return res
+}
+
+// BoundedDiameter runs BoundedAll's loop in diameter-only mode — the
+// BoundingDiameters algorithm of Takes & Kosters (2011): it additionally
+// drops every vertex whose upper bound cannot beat the diameter lower
+// bound, so it stops once no remaining vertex can raise the diameter
+// rather than once every eccentricity is exact. It returns that diameter
+// (the largest eccentricity over all components), the BFS traversals
+// spent, and whether cancelling ctx truncated the run (the diameter is
+// then a lower bound).
+func BoundedDiameter(ctx context.Context, g *graph.Graph, workers int) (diameter int32, traversals int64, truncated bool) {
+	res, diameter := bounding(ctx, g, workers, true)
+	return diameter, res.BFSTraversals, res.Truncated
+}
+
+// bounding is the one Takes–Kosters kernel behind BoundedAll and
+// BoundedDiameter. It returns the eccentricity vector and the diameter
+// lower bound, the largest eccentricity computed. That bound is TK's
+// max-lower-bound rule: every lo[v] = max(d, ecc−d) is at most the ecc of
+// the BFS that set it, so no lo[v] can exceed the bound. In diameterOnly
+// mode a vertex leaves once hi[v] ≤ bound; its Eccs entry then holds lo[v].
+func bounding(ctx context.Context, g *graph.Graph, workers int, diameterOnly bool) (AllResult, int32) {
 	n := g.NumVertices()
 	res := AllResult{Eccs: make([]int32, n)}
+	var bound int32
 	if n == 0 {
-		return res
+		return res, bound
 	}
 	e := bfs.New(g, workers)
+	defer e.Close()
 	dist := make([]int32, n)
 	lo := make([]int32, n)
 	hi := make([]int32, n)
@@ -66,7 +92,7 @@ func BoundedAll(ctx context.Context, g *graph.Graph, workers int) AllResult {
 			// for up to n more traversals.
 			unresolved.ForEach(func(v int) { res.Eccs[v] = lo[v] })
 			res.Truncated = true
-			return res
+			return res, bound
 		}
 		// Select the next source among unresolved vertices.
 		sel := -1
@@ -75,17 +101,13 @@ func BoundedAll(ctx context.Context, g *graph.Graph, workers int) AllResult {
 				sel = v
 				return
 			}
-			better := false
-			if pickHigh {
-				if hi[v] > hi[sel] || (hi[v] == hi[sel] && g.Degree(graph.Vertex(v)) > g.Degree(graph.Vertex(sel))) {
-					better = true
-				}
-			} else {
-				if lo[v] < lo[sel] || (lo[v] == lo[sel] && g.Degree(graph.Vertex(v)) > g.Degree(graph.Vertex(sel))) {
-					better = true
-				}
+			// Largest upper bound, or smallest lower bound; ties go to
+			// the higher degree, then to the lower id.
+			key, selKey := hi[v], hi[sel]
+			if !pickHigh {
+				key, selKey = -lo[v], -lo[sel]
 			}
-			if better {
+			if key > selKey || (key == selKey && g.Degree(graph.Vertex(v)) > g.Degree(graph.Vertex(sel))) {
 				sel = v
 			}
 		})
@@ -94,6 +116,7 @@ func BoundedAll(ctx context.Context, g *graph.Graph, workers int) AllResult {
 		ecc := e.Distances(graph.Vertex(sel), dist)
 		res.BFSTraversals++
 		res.Eccs[sel] = ecc
+		bound = max(bound, ecc)
 		unresolved.Clear(sel)
 		remaining--
 
@@ -105,36 +128,14 @@ func BoundedAll(ctx context.Context, g *graph.Graph, workers int) AllResult {
 			if d < 0 {
 				continue // other component
 			}
-			if l := max32(d, ecc-d); l > lo[v] {
-				lo[v] = l
-			}
-			if u := ecc + d; u < hi[v] {
-				hi[v] = u
-			}
-			if lo[v] == hi[v] {
+			lo[v] = max(lo[v], d, ecc-d)
+			hi[v] = min(hi[v], ecc+d)
+			if lo[v] == hi[v] || (diameterOnly && hi[v] <= bound) {
 				res.Eccs[v] = lo[v]
 				unresolved.Clear(v)
 				remaining--
 			}
 		}
 	}
-	return res
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// FastInfo computes Info (diameter, radius, center, periphery, all
-// eccentricities) using BoundedAll instead of brute force — typically a few
-// dozen BFS traversals instead of n. The radius/center/periphery aggregates
-// are restricted to the largest connected component (see Info); a cancelled
-// ctx yields the aggregates of whatever bounds were established, which are
-// not exact — callers that care should use BoundedAll directly and check
-// Truncated.
-func FastInfo(ctx context.Context, g *graph.Graph, workers int) Info {
-	return infoFromEccs(g, BoundedAll(ctx, g, workers).Eccs)
+	return res, bound
 }

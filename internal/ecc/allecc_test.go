@@ -11,7 +11,7 @@ import (
 
 func checkBoundedAll(t *testing.T, name string, g *graph.Graph) {
 	t.Helper()
-	want := All(g, 0)
+	want := All(context.Background(), g, 0).Eccs
 	for _, workers := range []int{1, 4} {
 		got := BoundedAll(context.Background(), g, workers)
 		for v := range want {
@@ -76,11 +76,21 @@ func TestBoundedAllIsFrugalOnCorePeriphery(t *testing.T) {
 	}
 }
 
+// bruteInfo and boundedInfo pair the aggregator with the oracle and with
+// the production kernel respectively.
+func bruteInfo(g *graph.Graph) Info {
+	return Summarize(g, All(context.Background(), g, 0).Eccs)
+}
+
+func boundedInfo(g *graph.Graph) Info {
+	return Summarize(g, BoundedAll(context.Background(), g, 0).Eccs)
+}
+
 func TestFastInfoMatchesCompute(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		g := gen.RandomConnected(120, int(seed*31)%120, seed+60)
-		slow := Compute(g, 0)
-		fast := FastInfo(context.Background(), g, 0)
+		slow := bruteInfo(g)
+		fast := boundedInfo(g)
 		if slow.Diameter != fast.Diameter || slow.Radius != fast.Radius {
 			t.Fatalf("seed %d: (diam,radius) fast (%d,%d) vs slow (%d,%d)",
 				seed, fast.Diameter, fast.Radius, slow.Diameter, slow.Radius)
@@ -102,61 +112,9 @@ func TestFastInfoMatchesCompute(t *testing.T) {
 }
 
 func TestFastInfoEmpty(t *testing.T) {
-	info := FastInfo(context.Background(), graph.NewBuilder(0).Build(), 0)
+	info := boundedInfo(graph.NewBuilder(0).Build())
 	if info.Diameter != 0 || info.Radius != 0 || info.Center != nil {
-		t.Fatalf("empty FastInfo: %+v", info)
-	}
-}
-
-func TestAverageDistanceExactOnPath(t *testing.T) {
-	// Path on 4 vertices: ordered pairs at distances 1,2,3 are 6,4,2.
-	s := AverageDistance(gen.Path(4), 0, 0, 1)
-	if !s.Exact || s.Pairs != 12 {
-		t.Fatalf("pairs = %d exact=%v", s.Pairs, s.Exact)
-	}
-	want := float64(6*1+4*2+2*3) / 12
-	if s.Mean != want {
-		t.Fatalf("mean = %f, want %f", s.Mean, want)
-	}
-	if s.Histogram[1] != 6 || s.Histogram[2] != 4 || s.Histogram[3] != 2 {
-		t.Fatalf("histogram %v", s.Histogram)
-	}
-}
-
-func TestAverageDistanceCompleteGraph(t *testing.T) {
-	s := AverageDistance(gen.Complete(8), 0, 0, 1)
-	if s.Mean != 1 || s.Pairs != 8*7 {
-		t.Fatalf("K8: mean %f pairs %d", s.Mean, s.Pairs)
-	}
-}
-
-func TestAverageDistanceSampledApproximatesExact(t *testing.T) {
-	g := gen.RandomConnected(800, 600, 21)
-	exact := AverageDistance(g, 0, 0, 0)
-	sampled := AverageDistance(g, 200, 7, 0)
-	if sampled.Exact {
-		t.Fatal("sampled run flagged exact")
-	}
-	if sampled.Sources != 200 {
-		t.Fatalf("sources = %d", sampled.Sources)
-	}
-	rel := (sampled.Mean - exact.Mean) / exact.Mean
-	if rel < -0.15 || rel > 0.15 {
-		t.Errorf("sampled mean %f vs exact %f (off by %.0f%%)", sampled.Mean, exact.Mean, rel*100)
-	}
-}
-
-func TestAverageDistanceDegenerate(t *testing.T) {
-	if s := AverageDistance(graph.NewBuilder(0).Build(), 0, 0, 1); s.Pairs != 0 || s.Mean != 0 {
-		t.Fatal("empty graph")
-	}
-	if s := AverageDistance(graph.NewBuilder(5).Build(), 0, 0, 1); s.Pairs != 0 {
-		t.Fatal("edgeless graph has no pairs")
-	}
-	// Disconnected: only intra-component pairs count.
-	s := AverageDistance(gen.Disjoint(gen.Path(2), gen.Path(2)), 0, 0, 1)
-	if s.Pairs != 4 || s.Mean != 1 {
-		t.Fatalf("disjoint edges: pairs=%d mean=%f", s.Pairs, s.Mean)
+		t.Fatalf("empty bounded Info: %+v", info)
 	}
 }
 
@@ -172,7 +130,7 @@ func BenchmarkBruteForceAll(b *testing.B) {
 	g := gen.CoreWhiskers(1<<11, 6, 0.15, 9, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		All(g, 0)
+		All(context.Background(), g, 0)
 	}
 }
 
@@ -184,8 +142,8 @@ func TestInfoAggregatesIgnoreIsolatedVertex(t *testing.T) {
 	// Path 0–4 (diameter 4, radius 2, center {2}) plus isolated vertex 5.
 	g := gen.Disjoint(gen.Path(5), graph.NewBuilder(1).Build())
 	for name, info := range map[string]Info{
-		"Compute":  Compute(g, 1),
-		"FastInfo": FastInfo(context.Background(), g, 1),
+		"All":        bruteInfo(g),
+		"BoundedAll": boundedInfo(g),
 	} {
 		if info.Diameter != 4 {
 			t.Errorf("%s: diameter = %d, want 4", name, info.Diameter)
@@ -212,8 +170,8 @@ func TestInfoAggregatesUseLargestComponent(t *testing.T) {
 	// vertex has eccentricity 1 < 4.
 	g := gen.Disjoint(gen.Path(9), gen.Path(3))
 	for name, info := range map[string]Info{
-		"Compute":  Compute(g, 1),
-		"FastInfo": FastInfo(context.Background(), g, 1),
+		"All":        bruteInfo(g),
+		"BoundedAll": boundedInfo(g),
 	} {
 		if info.Diameter != 8 {
 			t.Errorf("%s: diameter = %d, want 8", name, info.Diameter)
@@ -232,7 +190,7 @@ func TestInfoAggregatesUseLargestComponent(t *testing.T) {
 // valid lower bounds and the result marked Truncated.
 func TestBoundedAllCancelled(t *testing.T) {
 	g := gen.Grid2D(20, 20)
-	want := All(g, 0)
+	want := All(context.Background(), g, 0).Eccs
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res := BoundedAll(ctx, g, 1)

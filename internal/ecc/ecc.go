@@ -1,42 +1,67 @@
 // Package ecc provides eccentricity utilities: the brute-force reference
 // (one BFS per vertex, the APSP-by-BFS approach the paper's introduction
-// starts from), all-vertex eccentricities, and derived quantities — radius,
-// center, and periphery. The brute-force path is the ground truth every
-// optimized algorithm in this repository is tested against.
+// starts from), the Takes–Kosters bounding kernel, and the derived
+// quantities — radius, center, and periphery. The brute-force path is the
+// ground truth every optimized algorithm in this repository is tested
+// against.
 package ecc
 
 import (
+	"context"
 	"math"
+	"sync/atomic"
 
 	"fdiam/internal/bfs"
 	"fdiam/internal/graph"
 	"fdiam/internal/par"
 )
 
-// All computes the eccentricity of every vertex with one BFS per vertex,
-// parallelized over sources. Isolated vertices have eccentricity 0;
-// eccentricities are per connected component (BFS semantics). O(nm) — use
-// only on small graphs or as ground truth.
+// All computes the eccentricity of every vertex with one BFS per
+// non-isolated vertex, parallelized over sources. Isolated vertices have
+// eccentricity 0; eccentricities are per connected component (BFS
+// semantics). O(nm) — use only on small graphs or as ground truth.
 //
-//fdiamlint:ignore ctxflow brute-force ground truth; kept ctx-less so oracle call sites stay uncluttered
-func All(g *graph.Graph, workers int) []int32 {
+// BFSTraversals counts the sources completed. Cancelling ctx stops every
+// worker before its next source; the result then carries Truncated=true,
+// and the vertices not yet reached hold 0 (a trivial lower bound).
+func All(ctx context.Context, g *graph.Graph, workers int) AllResult {
 	n := g.NumVertices()
-	out := make([]int32, n)
+	res := AllResult{Eccs: make([]int32, n)}
 	if workers < 1 {
 		workers = par.DefaultWorkers()
 	}
 	// One serial engine per worker; sources are distributed dynamically.
 	engines := make([]*bfs.Engine, workers)
+	var done atomic.Int64
+	var cut atomic.Bool
 	for i := range engines {
 		engines[i] = bfs.New(g, 1)
 	}
 	par.ForWorker(n, workers, 16, func(worker, lo, hi int) {
 		e := engines[worker]
 		for v := lo; v < hi; v++ {
-			out[v] = e.Eccentricity(graph.Vertex(v))
+			if g.Degree(graph.Vertex(v)) == 0 {
+				continue
+			}
+			if ctx.Err() != nil {
+				cut.Store(true)
+				return
+			}
+			res.Eccs[v] = e.Eccentricity(graph.Vertex(v))
+			done.Add(1)
 		}
 	})
-	return out
+	res.BFSTraversals, res.Truncated = done.Load(), cut.Load()
+	return res
+}
+
+// Diameter returns the brute-force diameter (largest eccentricity over all
+// components). Ground truth for tests.
+//
+//fdiamlint:ignore ctxflow brute-force ground truth; kept ctx-less so oracle call sites stay uncluttered
+func Diameter(g *graph.Graph, workers int) int32 {
+	//fdiamlint:ignore ctxflow the oracle's whole point is synthesizing the root ctx for All
+	return Summarize(g, All(context.Background(), g, workers).Eccs).Diameter
 }
 
 // Info summarizes the eccentricity distribution of a graph.
@@ -61,21 +86,14 @@ type Info struct {
 	Eccs []int32
 }
 
-// Compute derives Info from a graph using the brute-force method.
-// Cancellable callers use FastInfo, which threads a context.
-//
-//fdiamlint:ignore ctxflow brute-force ground truth; cancellable path is FastInfo
-func Compute(g *graph.Graph, workers int) Info {
-	return infoFromEccs(g, All(g, workers))
-}
-
-// infoFromEccs assembles the Info aggregates from per-vertex
-// eccentricities: the diameter stays the global maximum (the CC-diameter
-// convention shared with core), while radius, center and periphery are
-// restricted to the largest connected component (ties broken toward the
-// lowest component id, which is deterministic because components are
-// discovered in vertex order).
-func infoFromEccs(g *graph.Graph, eccs []int32) Info {
+// Summarize assembles the Info aggregates from per-vertex eccentricities,
+// as computed by All (the brute-force oracle) or BoundedAll (production):
+// the diameter stays the global maximum (the CC-diameter convention shared
+// with core), while radius, center and periphery are restricted to the
+// largest connected component (ties broken toward the lowest component id,
+// which is deterministic because components are discovered in vertex
+// order). Aggregates over a truncated run's lower bounds are not exact.
+func Summarize(g *graph.Graph, eccs []int32) Info {
 	info := Info{Eccs: eccs}
 	if len(eccs) == 0 {
 		return info
@@ -117,18 +135,4 @@ func infoFromEccs(g *graph.Graph, eccs []int32) Info {
 		}
 	}
 	return info
-}
-
-// Diameter returns the brute-force diameter (largest eccentricity over all
-// components). Ground truth for tests.
-//
-//fdiamlint:ignore ctxflow brute-force ground truth; kept ctx-less so oracle call sites stay uncluttered
-func Diameter(g *graph.Graph, workers int) int32 {
-	var d int32
-	for _, e := range All(g, workers) {
-		if e > d {
-			d = e
-		}
-	}
-	return d
 }
