@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadMETIS -fuzztime=15s -run='^$$' ./internal/graphio/
 	$(GO) test -fuzz=FuzzCheckpointParse -fuzztime=15s -run='^$$' ./internal/checkpoint/
 	$(GO) test -fuzz=FuzzParseAnytime -fuzztime=15s -run='^$$' ./internal/serve/
+	$(GO) test -fuzz=FuzzRequestTimeout -fuzztime=15s -run='^$$' ./internal/serve/
 
 # chaos runs the crash-safety end-to-end test: build a real fdiamd, kill -9
 # it mid-solve, restart it over the same -checkpoint-dir, and verify the

@@ -1,21 +1,63 @@
 package core
 
 import (
-	"time"
-
 	"fdiam/internal/graph"
 	"fdiam/internal/obs"
 )
 
-// This file implements sampled approximation mode (Options.Approx): a
-// budgeted multi-double-sweep estimator in the spirit of
+// This file implements the double sweep (§4.1) — the exact run's initial
+// 2-sweep — and sampled approximation mode (Options.Approx), which repeats
+// it: a budgeted multi-double-sweep estimator in the spirit of
 // Magnien–Latapy–Habib, whose corridors are empirically tight after a
-// handful of traversals. Each sweep is the exact solver's 2-sweep machinery
-// verbatim — an eccentricity BFS from a source, then one from the farthest
-// vertex it found — with every bound routed through raiseLB/capUB, so the
-// corridor is sound by the same arguments as the exact run: the lower bound
-// is realized by a witness pair, and ub ≤ min(2·ecc(src), n−1) holds on
+// handful of traversals. Every bound is routed through raiseLB/capUB, so the
+// corridor is sound by the same arguments in both uses: the lower bound is
+// realized by a witness pair, and ub ≤ min(2·ecc(src), n−1) holds on
 // connected graphs by the triangle inequality through src.
+
+// sweep runs one double sweep from src: ecc(src), then the eccentricity of
+// a vertex farthest from src. With closeEarly the second leg is skipped once
+// the corridor has closed (approximation mode's stopping rule); the exact
+// run always takes both legs. A cancelled run stops after the leg in
+// flight.
+func (s *solver) sweep(src graph.Vertex, closeEarly bool) {
+	far := s.sweepLeg(src)
+	if far == src || s.cancelled() || (closeEarly && s.corridorClosed()) {
+		return
+	}
+	s.sweepLeg(far)
+}
+
+// sweepLeg runs one eccentricity BFS from src and folds it into the
+// corridor: the lower bound rises to ecc(src), witnessed by src and the
+// farthest vertex, which is returned (src itself when the BFS was aborted).
+// The first completed BFS of the run also decides connectivity and opens
+// the corridor at the trivial n−1 cap; on a connected graph the triangle
+// inequality through src then caps it at 2·ecc(src). In the exact run that
+// cap can only come from ecc(u): ecc(w) ≥ d(u, w) = ecc(u).
+func (s *solver) sweepLeg(src graph.Vertex) graph.Vertex {
+	ecc, far, ok := s.eccentricity(src)
+	if !ok {
+		return src
+	}
+	if s.ubCap < 0 {
+		// No cap yet, so this is the first completed BFS. It reached
+		// exactly src's component; together with the isolated-vertex
+		// count that decides connectivity with no extra pass.
+		n := s.g.NumVertices()
+		s.infinite = n > 1 &&
+			(s.stats.RemovedDegree0 > 0 || s.e.Reached() < int64(n)-s.stats.RemovedDegree0)
+		s.capUB(int32(n) - 1)
+	}
+	if s.ecc[src] == Active {
+		s.setComputed(src, ecc)
+	}
+	s.raiseLB(ecc, src, far)
+	if ub := 2 * int64(ecc); !s.infinite && ub < int64(s.ubCap) {
+		s.capUB(int32(ub))
+	}
+	s.publishBounds()
+	return far
+}
 
 // splitmix64 advances state and returns the next value of the SplitMix64
 // sequence — the deterministic source sampler for sweeps after the first.
@@ -32,101 +74,28 @@ func splitmix64(state *uint64) uint64 {
 
 // approxRun executes Options.Approx.Sweeps double sweeps and leaves the
 // resulting corridor in the solver's bound state for finish() to report.
-// The first sweep starts where the exact run would (the maximum-degree
-// vertex, or the first non-isolated one under the StartAtVertexZero
-// ablation); later sweeps start from sampled non-isolated vertices,
-// preferring ones no earlier sweep computed. The estimator stops early when
-// the corridor collapses to gap ≤ max(Epsilon, 0) or the run is cancelled.
-// Returns the connectivity verdict, decided by the first completed BFS
-// exactly as in the exact run.
-func (s *solver) approxRun(firstNonIsolated int) bool {
-	n := s.g.NumVertices()
-	tr := s.opt.Trace
-	s.setStage("approx")
-	if tr != nil {
-		tr.SetStage("approx")
-		tr.Begin("stage", "approx", obs.I("sweeps", int64(s.opt.Approx.Sweeps)))
-	}
-	defer func() {
-		if tr != nil {
-			tr.SetBound(int64(s.bound))
-			tr.End("stage", "approx",
-				obs.I("bound", int64(s.bound)), obs.I("upper", int64(s.ubCap)))
-			s.observeProgress()
-		}
-	}()
+// The first sweep starts where the exact run would (s.start); later sweeps
+// start from sampled non-isolated vertices, preferring ones no earlier
+// sweep computed. The estimator stops early when the corridor collapses to
+// gap ≤ max(Epsilon, 0) or the run is cancelled.
+func (s *solver) approxRun(firstNonIsolated int) {
+	sp := s.begin(spanStage, "approx", nil, obs.I("sweeps", int64(s.opt.Approx.Sweeps)))
 	s.earlyExit = exitApprox
-
-	if s.opt.StartAtVertexZero {
-		s.start = graph.Vertex(firstNonIsolated)
-	} else {
-		s.start = s.g.MaxDegreeVertex()
-	}
-
-	infinite := false
-	firstBFS := true
-
-	// leg runs one eccentricity BFS and folds it into the corridor,
-	// reporting the farthest vertex found and whether the run may continue
-	// (false on cancellation, including an aborted traversal — whose
-	// truncated level count still lower-bounds the eccentricity and is
-	// kept, never recorded as exact).
-	leg := func(src graph.Vertex) (far graph.Vertex, ok bool) {
-		t0 := time.Now()
-		ecc := s.e.Eccentricity(src)
-		s.stats.EccBFS++
-		s.stats.TimeEcc += time.Since(t0)
-		if s.e.Aborted() {
-			s.raiseLB(ecc, src, s.e.LastFrontier()[0])
-			return src, false
-		}
-		if firstBFS {
-			firstBFS = false
-			// A BFS from src reaches exactly its component; together with
-			// the isolated-vertex count this decides connectivity, and the
-			// trivial n−1 cap opens the corridor.
-			reached := s.e.Reached()
-			infinite = n > 1 &&
-				(s.stats.RemovedDegree0 > 0 || reached < int64(n)-s.stats.RemovedDegree0)
-			s.capUB(int32(n) - 1)
-		}
-		far = s.e.LastFrontier()[0]
-		s.raiseLB(ecc, src, far)
-		if !infinite {
-			if ub := 2 * int64(ecc); ub < int64(s.ubCap) {
-				s.capUB(int32(ub))
-			}
-		}
-		if s.ecc[src] == Active {
-			s.setComputed(src, ecc)
-		}
-		s.publishBounds()
-		return far, !s.cancelled()
-	}
-
 	rng := s.opt.Approx.Seed
 	for i := 0; i < s.opt.Approx.Sweeps; i++ {
 		src := s.start
 		if i > 0 {
 			src = s.sampleSource(&rng, firstNonIsolated)
 		}
-		far, ok := leg(src)
-		if !ok {
-			return infinite
-		}
-		if !s.corridorClosed() && far != src {
-			if _, ok := leg(far); !ok {
-				return infinite
-			}
-		}
-		if s.corridorClosed() {
+		s.sweep(src, true)
+		if s.cancelled() || s.corridorClosed() {
 			break
 		}
 	}
 	if checkedBuild {
 		s.checkStateConsistency("approx")
 	}
-	return infinite
+	sp.end(obs.I("bound", int64(s.bound)), obs.I("upper", int64(s.ubCap)))
 }
 
 // sampleSource draws a non-isolated sweep source from the SplitMix64

@@ -26,34 +26,60 @@ import (
 // Capping at the lane count is the natural break-even.
 const batchMaxBound = 64
 
+// Cost-model thresholds (DESIGN.md §11), fixed: no workload has needed
+// other values.
+const (
+	// batchMinActive is the remaining-active-vertex floor below which the
+	// main loop stays single-BFS: with only a handful of survivors left,
+	// the fixed per-batch cost (a traversal that must carry the whole
+	// graph's frontier words) cannot amortize over the few sources that
+	// would fill it.
+	batchMinActive = 16
+
+	// batchMaxPrune is the ceiling on the recent removals-per-evaluation
+	// average (EWMA) above which batching stays off: while each
+	// eccentricity still prunes many vertices, batch sources collected
+	// ahead of time would mostly be discarded.
+	batchMaxPrune = 16.0
+)
+
 // batchEliminateSeedCutoff is the seed-set size from which the
 // multi-source extend-eliminated pass expands its partial BFS under the
 // worker pool instead of serially (mirrors the engine's serial cutoff).
 const batchEliminateSeedCutoff = 1024
+
+// batchMode overrides the cost model (Options.batch). The zero value
+// defers to it; the package's equivalence tests pin either loop.
+type batchMode uint8
+
+const (
+	batchAuto  batchMode = iota
+	batchOff             // every survivor gets its own BFS
+	batchForce           // batch whenever a vertex is active
+)
 
 // batchEligible is the cost model (DESIGN.md §11): batch when enough
 // active vertices remain for a batch to amortize, the recent pruning rate
 // is low (each evaluation mostly just confirms the bound, so sources
 // collected ahead of time survive to commit), and the diameter bound is
 // small enough that the batch's level count stays under the lane count.
-// Force bypasses the model; Disable wins over everything. The EWMA gate
-// doubles as a warm-up: it stays at its -1 sentinel until the first
-// single evaluation seeds it, so every main loop starts unbatched.
+// The EWMA gate doubles as a warm-up: it stays at its -1 sentinel until
+// the first single evaluation seeds it, so every main loop starts
+// unbatched.
 func (s *solver) batchEligible() bool {
-	b := &s.opt.Batch
-	if b.Disable {
+	switch s.opt.batch {
+	case batchOff:
 		return false
-	}
-	if b.Force {
+	case batchForce:
 		return true
 	}
-	if s.activeRemaining() < DefaultBatchMinActive {
+	if s.activeRemaining() < batchMinActive {
 		return false
 	}
 	if s.bound > batchMaxBound {
 		return false
 	}
-	return s.pruneEWMA >= 0 && s.pruneEWMA <= DefaultBatchMaxPrune
+	return s.pruneEWMA >= 0 && s.pruneEWMA <= batchMaxPrune
 }
 
 // activeRemaining is the main-loop workload measure: vertices neither
@@ -107,7 +133,6 @@ func (s *solver) runBatch(vstart int) bool {
 	s.stats.MSBFSBatches++
 	s.stats.MSBFSSources += int64(len(sources))
 
-	s.ck.loopV = vstart
 	tEcc := time.Now()
 	s.ck.armed = true
 	res := s.e.MultiSourceRun(sources, false)
@@ -116,15 +141,11 @@ func (s *solver) runBatch(vstart int) bool {
 
 	if res.Aborted {
 		// Each truncated per-source level count still lower-bounds that
-		// source's eccentricity; keep the best one, record nothing as
-		// exact, and persist the interruption point.
+		// source's eccentricity; keep the best one and record nothing as
+		// exact.
 		for i := range sources {
 			s.raiseLB(res.Ecc[i], sources[i], res.Witness[i])
 		}
-		if tr != nil {
-			tr.Instant("run", "cancelled")
-		}
-		s.writeCheckpoint(int64(vstart))
 		return false
 	}
 	if checkedBuild {
@@ -150,33 +171,8 @@ func (s *solver) runBatch(vstart int) bool {
 			continue
 		}
 		committed++
-		s.ck.calls++
-		vecc := res.Ecc[i]
 		s.stats.EccBFS++
-		before := s.removedTotal()
-		s.setComputed(src, vecc)
-		switch {
-		case vecc > s.bound:
-			old := s.bound
-			s.raiseLB(vecc, src, res.Witness[i])
-			s.stats.BoundImprovements++
-			tr.BoundImproved(old, vecc, src)
-			s.publishBounds()
-			if !s.opt.DisableWinnow {
-				s.winnow()
-			}
-			if !s.opt.DisableEliminate {
-				tEl := time.Now()
-				s.extendEliminated(old)
-				s.stats.TimeEliminate += time.Since(tEl)
-			}
-		case vecc < s.bound && !s.opt.DisableEliminate:
-			tEl := time.Now()
-			s.eliminateFrom([]graph.Vertex{src}, vecc, s.bound, StageEliminate)
-			s.stats.TimeEliminate += time.Since(tEl)
-		}
-		s.notePruning(s.removedTotal() - before)
-		s.observeProgress()
+		s.commit(src, res.Ecc[i], res.Witness[i])
 	}
 	tr.BatchDone(committed, discarded)
 	if !stopped {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"fdiam/internal/graph"
 	"fdiam/internal/obs"
 )
@@ -28,15 +26,7 @@ import (
 // remove exactly the high-eccentricity periphery vertices that Winnow and
 // Eliminate cannot reach (§6.4).
 func (s *solver) chains() {
-	tr := s.opt.Trace
-	if tr != nil {
-		tr.SetStage("chain")
-	}
-	s.setStage("chain")
-	if tr != nil {
-		tr.Begin("stage", "chain")
-	}
-	t0 := time.Now()
+	sp := s.begin(spanStage, "chain", &s.stats.TimeChain)
 	g := s.g
 	n := g.NumVertices()
 	for v := 0; v < n; v++ {
@@ -132,11 +122,7 @@ func (s *solver) chains() {
 	if checkedBuild {
 		s.checkStateConsistency("chains")
 	}
-	s.stats.TimeChain += time.Since(t0)
-	if tr != nil {
-		tr.End("stage", "chain", obs.I("removed_total", s.stats.RemovedChain))
-		s.observeProgress()
-	}
+	sp.end(obs.I("removed_total", s.stats.RemovedChain))
 }
 
 // recordChainBall updates the per-hub extension bookkeeping after a chain

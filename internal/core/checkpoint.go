@@ -27,7 +27,6 @@ type ckptState struct {
 	calls    int           // main-loop BFS calls since the last write
 	armed    bool          // inside a main-loop eccentricity traversal
 	loopV    int           // main-loop vertex in flight (barrier's NextVertex)
-	infinite bool          // connectivity verdict persisted into snapshots
 	hash     [32]byte      // cached GraphHash (O(n+m) to compute)
 	hashOK   bool
 }
@@ -125,7 +124,7 @@ func (s *solver) tryResume() bool {
 	s.statsFromCounters(&snap.Counters)
 	s.baseTotal = snap.Counters.TimeTotal
 	s.baseDirSwitches = snap.Counters.DirSwitches
-	s.ck.infinite = snap.Infinite
+	s.infinite = snap.Infinite
 	s.ck.hash, s.ck.hashOK = snap.GraphHash, true
 	s.resumeNext = int(snap.NextVertex)
 	s.resumed = true
@@ -151,7 +150,7 @@ func (s *solver) buildSnapshot(next int64) *checkpoint.Snapshot {
 		WitnessA:       uint32(s.witnessA),
 		WitnessB:       uint32(s.witnessB),
 		NextVertex:     next,
-		Infinite:       s.ck.infinite,
+		Infinite:       s.infinite,
 		Ecc:            append([]int32(nil), s.ecc...),
 		Stage:          make([]uint8, len(s.stage)),
 		WinnowFrontier: make([]uint32, len(s.winnowFrontier)),

@@ -48,11 +48,14 @@ func (s *solver) eliminateFromPar(seeds []graph.Vertex, startVal, limit int32, a
 	if checkedBuild {
 		checkDist = s.checkEliminatePre(seeds, startVal, limit, attr)
 	}
-	tr := s.opt.Trace
-	if tr != nil {
-		tr.Begin("stage", "eliminate",
-			obs.I("seeds", int64(len(seeds))), obs.I("radius", int64(limit-startVal)))
+	// Chain Processing's own clock already covers the eliminations it
+	// runs; only main-loop eliminations count toward TimeEliminate.
+	clock := &s.stats.TimeEliminate
+	if attr == StageChain {
+		clock = nil
 	}
+	sp := s.begin(spanNested, "eliminate", clock,
+		obs.I("seeds", int64(len(seeds))), obs.I("radius", int64(limit-startVal)))
 	levels = s.e.Partial(seeds, limit-startVal, parallel, nil, func(level int32, frontier []graph.Vertex) {
 		if checkedBuild {
 			s.checkEliminateLevel(checkDist, level, frontier, startVal, limit)
@@ -72,15 +75,13 @@ func (s *solver) eliminateFromPar(seeds []graph.Vertex, startVal, limit int32, a
 			}
 		}
 	})
-	if tr != nil {
-		// Report the counter matching the attribution, so chain removals
-		// show up as chain removals in Chrome traces and /progress.
-		removed := s.stats.RemovedEliminate
-		if attr == StageChain {
-			removed = s.stats.RemovedChain
-		}
-		tr.End("stage", "eliminate", obs.I("removed_total", removed))
+	// Report the counter matching the attribution, so chain removals show
+	// up as chain removals in Chrome traces.
+	removed := s.stats.RemovedEliminate
+	if attr == StageChain {
+		removed = s.stats.RemovedChain
 	}
+	sp.end(obs.I("removed_total", removed))
 	return ring, levels
 }
 
@@ -97,10 +98,7 @@ func (s *solver) extendEliminated(old int32) {
 		}
 	}
 	// Large seed rings expand under the worker pool: the extension pass is
-	// the one Eliminate whose worklists are not typically tiny. Gated on
-	// the batch knob so Batch.Disable reproduces the fully-serial legacy
-	// behavior for A/B runs.
-	parallel := !s.opt.Batch.Disable && s.e.Workers() > 1 &&
-		len(seeds) >= batchEliminateSeedCutoff
+	// the one Eliminate whose worklists are not typically tiny.
+	parallel := s.e.Workers() > 1 && len(seeds) >= batchEliminateSeedCutoff
 	s.eliminateFromPar(seeds, old, s.bound, StageEliminate, parallel)
 }

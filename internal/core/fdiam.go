@@ -75,6 +75,11 @@ type solver struct {
 	bound int32
 	start graph.Vertex
 
+	// infinite is the connectivity verdict: decided by the run's first
+	// completed BFS (sweepLeg), restored from a snapshot on resume, and
+	// persisted into every snapshot.
+	infinite bool
+
 	// ubCap is the proven diameter upper bound (-1 until one exists). The
 	// 2-sweep establishes it — min(2·ecc(u), n−1) for a connected graph by
 	// the triangle inequality through u, n−1 otherwise — and it holds for
@@ -142,7 +147,7 @@ type solver struct {
 	resumeNext      int
 	baseTotal       time.Duration
 	baseDirSwitches int64
-	t0              time.Time
+	t0              time.Time // run start; TimeTotal is baseTotal + time since t0
 
 	// MS-BFS batching cost-model state (batch.go). pruneEWMA tracks the
 	// recent removals-per-evaluation average (-1 until the first main-loop
@@ -215,114 +220,23 @@ func (s *solver) run() Result {
 	// release them when the computation finishes rather than waiting for
 	// the garbage collector.
 	defer s.e.Close()
-	tStart := time.Now()
-	s.t0 = tStart
-
-	// finish assembles the Result on every exit path — normal completion
-	// and every cancellation point. A cancelled run reports the best
-	// lower bound established so far; TimedOut additionally distinguishes
-	// deadline causes (Options.Timeout or a deadline on the caller's ctx)
-	// from plain cancellation.
-	finish := func(infinite bool) Result {
-		cancelled := s.cancelled()
-		early := s.earlyExit != ""
-		if checkedBuild {
-			s.checkStateConsistency("final")
-			s.checkFinal(infinite, cancelled, early)
-		}
-		s.stats.DirSwitches = s.baseDirSwitches + s.e.DirectionSwitches()
-		s.stats.TimeTotal = s.baseTotal + time.Since(tStart)
-		timedOut := cancelled && errors.Is(context.Cause(s.ctx), context.DeadlineExceeded)
-		// Terminal corridor event: full completion proves the lower bound
-		// exact (lb == ub); an early exit (ε-stop, approximation mode) keeps
-		// the honest open corridor; an aborted run that never finished its
-		// 2-sweep still reports the trivial n−1 cap rather than "unknown".
-		if !cancelled && !early {
-			s.capUB(s.bound)
-		} else if s.ubCap < 0 {
-			if nv := s.g.NumVertices(); nv > 0 {
-				s.capUB(int32(nv) - 1)
-			}
-		}
-		s.publishBounds()
-		upper := s.ubCap
-		if upper < 0 {
-			// Unreachable in practice (finish is never called with n == 0),
-			// kept so a pathological path still reports a closed corridor.
-			upper = s.bound
-		}
-		gap := upper - s.bound
-		if early && !cancelled {
-			cEarlyExits.Inc()
-			if s.earlyExit == exitApprox {
-				hEarlyGapApprox.Observe(int64(gap))
-			} else {
-				hEarlyGapEpsilon.Observe(int64(gap))
-			}
-		}
-		if s.lg.Enabled(s.ctx, slog.LevelInfo) {
-			outcome := "ok"
-			switch {
-			case timedOut:
-				outcome = "timeout"
-			case cancelled:
-				outcome = "cancelled"
-			case early:
-				outcome = s.earlyExit
-			}
-			s.lg.Info("solve_done",
-				obs.KeyDiameter, s.bound, obs.KeyUpper, upper, obs.KeyGap, gap,
-				obs.KeyOutcome, outcome,
-				obs.KeyElapsedMS, s.stats.TimeTotal.Milliseconds())
-		}
-		return Result{
-			Diameter:    s.bound,
-			Upper:       upper,
-			Gap:         gap,
-			Approximate: gap > 0,
-			Infinite:    infinite,
-			TimedOut:    timedOut,
-			Cancelled:   cancelled,
-			Resumed:     s.resumed,
-			ResumeError: s.resumeErr,
-			WitnessA:    s.witnessA,
-			WitnessB:    s.witnessB,
-			Stats:       s.stats,
-		}
-	}
-
+	s.t0 = time.Now()
 	n := s.g.NumVertices()
 	s.stats.Vertices = n
 	if s.lg.Enabled(s.ctx, slog.LevelInfo) {
 		s.lg.Info("solve_start", obs.KeyVertices, int64(n))
 	}
 	tr := s.opt.Trace
-	if tr != nil {
-		tr.SetVertices(int64(n))
-		tr.Begin("run", "diameter", obs.I("vertices", int64(n)))
-		defer func() {
-			s.observeProgress()
-			tr.SetStage("done")
-			tr.End("run", "diameter",
-				obs.I("diameter", int64(s.bound)),
-				obs.I("ecc_bfs", s.stats.EccBFS),
-				obs.I("winnow_calls", s.stats.WinnowCalls),
-				obs.I("eliminate_calls", s.stats.EliminateCalls))
-		}()
-	}
+	tr.SetVertices(int64(n))
+	runSpan := s.begin(spanRun, "diameter", nil, obs.I("vertices", int64(n)))
 	if n == 0 {
-		return Result{WitnessA: graph.NoVertex, WitnessB: graph.NoVertex, Stats: s.stats}
+		return s.finish(runSpan)
 	}
 
 	// Initialization: state arrays and the degree-0 pass. Isolated
 	// vertices have eccentricity 0 and need no BFS (Table 4's last
 	// column).
-	s.setStage("init")
-	if tr != nil {
-		tr.SetStage("init")
-		tr.Begin("stage", "init")
-	}
-	tInit := time.Now()
+	initStage := s.begin(spanStage, "init", &s.stats.TimeInit)
 	s.initVertexState(n, s.e.Workers())
 	firstNonIsolated := -1
 	for v := 0; v < n; v++ {
@@ -332,26 +246,29 @@ func (s *solver) run() Result {
 			firstNonIsolated = v
 		}
 	}
-	s.stats.TimeInit = time.Since(tInit)
-	if tr != nil {
-		tr.End("stage", "init", obs.I("removed_degree0", s.stats.RemovedDegree0))
-		s.observeProgress()
-	}
+	initStage.end(obs.I("removed_degree0", s.stats.RemovedDegree0))
 	if firstNonIsolated < 0 {
 		// Edgeless graph: every eccentricity is 0 and no pair of
-		// distinct vertices witnesses a positive diameter.
-		s.stats.TimeTotal = time.Since(tStart)
-		return Result{
-			Diameter: 0, Infinite: n > 1,
-			WitnessA: graph.NoVertex, WitnessB: graph.NoVertex,
-			Stats: s.stats,
-		}
+		// distinct vertices witnesses a positive diameter. The corridor
+		// is closed even if the run was cancelled meanwhile.
+		s.infinite = n > 1
+		s.capUB(0)
+		return s.finish(runSpan)
+	}
+
+	// Starting vertex: the maximum-degree vertex u (§3), or — for the
+	// "no 'u'" ablation — the first vertex with at least one edge.
+	if s.opt.StartAtVertexZero {
+		s.start = graph.Vertex(firstNonIsolated)
+	} else {
+		s.start = s.g.MaxDegreeVertex()
 	}
 
 	// Sampled approximation mode: a few double sweeps build the corridor
 	// and the run stops there — no Winnow, no main loop, no checkpointing.
 	if s.opt.Approx.Sweeps > 0 {
-		return finish(s.approxRun(firstNonIsolated))
+		s.approxRun(firstNonIsolated)
+		return s.finish(runSpan)
 	}
 
 	// Checkpointing and resume. A restored snapshot was captured at a
@@ -360,85 +277,21 @@ func (s *solver) run() Result {
 	// to the main loop at the recorded resume index; a rejected restore
 	// (missing, corrupt, wrong graph) degrades to a fresh solve.
 	s.initCheckpoint()
-	var infinite bool
-	var tEcc time.Time
 	if s.tryResume() {
-		infinite = s.ck.infinite
 		// The snapshot carries no eccentricity of u, so the resumed
 		// corridor opens at the trivial cap.
 		s.capUB(int32(n) - 1)
 		s.publishBounds()
 	} else {
-		// Starting vertex: the maximum-degree vertex u (§3), or — for the
-		// "no 'u'" ablation — the first vertex with at least one edge.
-		if s.opt.StartAtVertexZero {
-			s.start = graph.Vertex(firstNonIsolated)
-		} else {
-			s.start = s.g.MaxDegreeVertex()
-		}
-
-		// Initial diameter via 2-sweep (§4.1): ecc(u), then the eccentricity
-		// of a vertex w maximally far from u becomes the initial bound.
-		s.setStage("2-sweep")
-		if tr != nil {
-			tr.SetStage("2-sweep")
-			tr.Begin("stage", "2-sweep", obs.I("start", int64(s.start)))
-		}
-		endSweep := func() {
-			if tr != nil {
-				tr.SetBound(int64(s.bound))
-				tr.End("stage", "2-sweep", obs.I("bound", int64(s.bound)))
-				s.observeProgress()
-			}
-		}
-		tEcc = time.Now()
-		uEcc := s.e.Eccentricity(s.start)
-		s.stats.EccBFS++
-		s.stats.TimeEcc += time.Since(tEcc)
-		if s.e.Aborted() {
-			// The completed levels of the aborted traversal still lower-bound
-			// ecc(u) and hence the diameter: the engine's current frontier is
-			// exactly uEcc levels from u. Nothing is recorded as exact.
-			s.raiseLB(uEcc, s.start, s.e.LastFrontier()[0])
-			endSweep()
-			return finish(false)
-		}
-		reached := s.e.Reached()
-		// A BFS from start reaches exactly its component; together with the
-		// isolated-vertex count this decides connectivity with no extra pass.
-		infinite = n > 1 && (s.stats.RemovedDegree0 > 0 || reached < int64(n)-s.stats.RemovedDegree0)
-		// First proven upper bound: any a–b path detours through u, so
-		// d(a,b) ≤ 2·ecc(u) when the graph is connected; n−1 regardless.
-		s.capUB(int32(n) - 1)
-		if !infinite {
-			if ub := 2 * int64(uEcc); ub < int64(s.ubCap) {
-				s.capUB(int32(ub))
-			}
-		}
-		s.setComputed(s.start, uEcc)
-		w := s.e.LastFrontier()[0]
-		s.raiseLB(uEcc, s.start, w)
-		if w != s.start && !s.cancelled() {
-			tEcc = time.Now()
-			wEcc := s.e.Eccentricity(w)
-			s.stats.EccBFS++
-			s.stats.TimeEcc += time.Since(tEcc)
-			if s.e.Aborted() {
-				s.raiseLB(wEcc, w, s.e.LastFrontier()[0])
-				endSweep()
-				return finish(infinite)
-			}
-			s.setComputed(w, wEcc)
-			s.raiseLB(wEcc, w, s.e.LastFrontier()[0])
-		}
-		if tr != nil {
+		// Initial diameter via 2-sweep (§4.1): ecc(u), then the
+		// eccentricity of a vertex w maximally far from u becomes the
+		// initial bound.
+		sweepStage := s.begin(spanStage, "2-sweep", nil, obs.I("start", int64(s.start)))
+		s.sweep(s.start, false)
+		if tr != nil && !s.cancelled() {
 			tr.Instant("bound", "initial", obs.I("bound", int64(s.bound)))
 		}
-		s.publishBounds()
-		endSweep()
-		if s.cancelled() {
-			return finish(infinite)
-		}
+		sweepStage.end(obs.I("bound", int64(s.bound)))
 
 		// Winnow around the starting vertex (§4.2). Winnow subsumes what an
 		// Eliminate around u could remove (Theorem 3: ecc(u) ≥ bound/2, so
@@ -446,60 +299,37 @@ func (s *solver) run() Result {
 		// bound − ecc(u)), which is why F-Diam never Eliminates around u
 		// (§4.5) — and why the "no Winnow" ablation leaves the initial
 		// pruning out entirely, as in the paper's Table 5.
-		if !s.opt.DisableWinnow {
+		if !s.opt.DisableWinnow && !s.cancelled() {
 			s.winnow()
-			if s.cancelled() {
-				return finish(infinite)
-			}
 		}
-
 		// Chain Processing (§4.3).
-		if !s.opt.DisableChain {
+		if !s.opt.DisableChain && !s.cancelled() {
 			s.chains()
-			if s.cancelled() {
-				return finish(infinite)
-			}
+		}
+		if s.cancelled() {
+			return s.finish(runSpan)
 		}
 	}
 
 	// Main loop (Algorithm 1): evaluate the remaining active vertices.
-	s.setStage("main-loop")
-	if tr != nil {
-		tr.SetStage("main-loop")
-		tr.Begin("stage", "main-loop")
-	}
-	s.ck.infinite = infinite
-	completed := true
-	for v := s.resumeNext; v < n; v++ {
+	loopStage := s.begin(spanStage, "main-loop", nil)
+	v := s.resumeNext
+	for ; v < n; v++ {
 		// ε-early-exit: stop as soon as the corridor is within tolerance.
 		// The check runs before the Active skip so a tolerance met by the
 		// 2-sweep/Winnow stages (or a resumed snapshot) stops the loop on
-		// entry. The stopping point is checkpointed so a later exact (or
-		// tighter-ε) run refines from here instead of starting over — every
-		// vertex below v is already removed or computed, which is exactly
-		// the snapshot's NextVertex contract.
+		// entry.
 		if s.epsilonReached() {
 			s.earlyExit = exitEpsilon
-			if tr != nil {
-				tr.Instant("run", "epsilon-exit")
-			}
-			s.writeCheckpoint(int64(v))
-			completed = false
 			break
 		}
 		if s.ecc[v] != Active {
 			continue
 		}
 		if s.cancelled() {
-			if tr != nil {
-				tr.Instant("run", "cancelled")
-			}
-			// Persist the interruption point so a later run resumes here
-			// instead of starting over (no-op without a checkpoint dir).
-			s.writeCheckpoint(int64(v))
-			completed = false
 			break
 		}
+		s.ck.loopV = v
 		// Batched evaluation (§DESIGN 11): when the cost model says the
 		// remaining survivors are bulk work, consume the next ≤64 of them
 		// with one bit-parallel MS-BFS instead of one BFS each. runBatch
@@ -507,75 +337,169 @@ func (s *solver) run() Result {
 		// skips the vertices the batch computed (or pruned).
 		if s.batchEligible() {
 			if !s.runBatch(v) {
-				completed = false
 				break
 			}
 			// v was the batch's first source and is now computed; every
 			// other source the batch committed fails the Active check.
 			continue
 		}
-		s.ck.loopV = v
-		s.ck.calls++
-		tEcc = time.Now()
 		s.ck.armed = true
-		vecc := s.e.Eccentricity(graph.Vertex(v))
+		ecc, far, ok := s.eccentricity(graph.Vertex(v))
 		s.ck.armed = false
-		s.stats.EccBFS++
-		s.stats.TimeEcc += time.Since(tEcc)
-		if s.e.Aborted() {
-			// The truncated level count still lower-bounds ecc(v); use it
-			// if it beats the bound, but never record it as exact.
-			s.raiseLB(vecc, graph.Vertex(v), s.e.LastFrontier()[0])
-			if tr != nil {
-				tr.Instant("run", "cancelled")
-			}
-			s.writeCheckpoint(int64(v))
-			completed = false
+		if !ok {
 			break
 		}
-		before := s.removedTotal()
-		s.setComputed(graph.Vertex(v), vecc)
-		switch {
-		case vecc > s.bound:
-			// New lower bound for the diameter: extend the winnow
-			// ball and all prior eliminated regions (§4.5).
-			old := s.bound
-			s.raiseLB(vecc, graph.Vertex(v), s.e.LastFrontier()[0])
-			s.stats.BoundImprovements++
-			tr.BoundImproved(old, vecc, uint32(v))
-			s.publishBounds()
-			if !s.opt.DisableWinnow {
-				s.winnow()
-			}
-			if !s.opt.DisableEliminate {
-				tEl := time.Now()
-				s.extendEliminated(old)
-				s.stats.TimeEliminate += time.Since(tEl)
-			}
-		case vecc < s.bound && !s.opt.DisableEliminate:
-			// Theorem 1: everything within bound−ecc(v) of v
-			// cannot beat the bound (§4.4).
-			tEl := time.Now()
-			s.eliminateFrom([]graph.Vertex{graph.Vertex(v)}, vecc, s.bound, StageEliminate)
-			s.stats.TimeEliminate += time.Since(tEl)
-		default:
-			// vecc == bound: only v itself is removed (already
-			// done by setComputed).
-		}
-		// Cost-model feedback: this evaluation's pruning yield (batch.go).
-		s.notePruning(s.removedTotal() - before)
-		s.observeProgress()
+		s.commit(graph.Vertex(v), ecc, far)
 		s.ckptAfterVertex(v + 1)
 	}
-	if completed {
+	if v < n {
+		// Stopped early (ε-exit or cancellation): persist the stopping
+		// point so a later run — exact, tighter-ε or simply uninterrupted —
+		// resumes here instead of starting over. Every vertex below v is
+		// already removed or computed, which is exactly the snapshot's
+		// NextVertex contract.
+		if s.earlyExit == exitEpsilon {
+			tr.Instant("run", "epsilon-exit")
+		} else {
+			tr.Instant("run", "cancelled")
+		}
+		s.writeCheckpoint(int64(v))
+	} else {
 		// The solve is done; a leftover snapshot would only make a later
 		// run of the same directory resume into a finished state.
 		s.clearCheckpoint()
 	}
-	if tr != nil {
-		tr.End("stage", "main-loop", obs.I("computed", s.stats.Computed))
+	loopStage.end(obs.I("computed", s.stats.Computed))
+	return s.finish(runSpan)
+}
+
+// finish assembles the Result on every exit path — normal completion, the
+// empty and edgeless shortcuts, the early exits and every cancellation
+// point — and closes the run span. A cancelled run reports the best lower
+// bound established so far; TimedOut additionally distinguishes deadline
+// causes (Options.Timeout or a deadline on the caller's ctx) from plain
+// cancellation.
+func (s *solver) finish(runSpan span) Result {
+	cancelled := s.cancelled()
+	early := s.earlyExit != ""
+	if checkedBuild {
+		s.checkStateConsistency("final")
+		s.checkFinal(s.infinite, cancelled, early)
 	}
-	return finish(infinite)
+	s.stats.DirSwitches = s.baseDirSwitches + s.e.DirectionSwitches()
+	s.stats.TimeTotal = s.baseTotal + time.Since(s.t0)
+	timedOut := cancelled && errors.Is(context.Cause(s.ctx), context.DeadlineExceeded)
+	// Terminal corridor event: full completion proves the lower bound
+	// exact (lb == ub); an early exit (ε-stop, approximation mode) keeps
+	// the honest open corridor; an aborted run that never finished its
+	// 2-sweep still reports the trivial n−1 cap rather than "unknown".
+	if !cancelled && !early {
+		s.capUB(s.bound)
+	} else if s.ubCap < 0 {
+		if nv := s.g.NumVertices(); nv > 0 {
+			s.capUB(int32(nv) - 1)
+		}
+	}
+	s.publishBounds()
+	upper := s.ubCap
+	if upper < 0 {
+		// Only a cancelled solve of the empty graph has no cap at all.
+		upper = s.bound
+	}
+	gap := upper - s.bound
+	if early && !cancelled {
+		cEarlyExits.Inc()
+		if s.earlyExit == exitApprox {
+			hEarlyGapApprox.Observe(int64(gap))
+		} else {
+			hEarlyGapEpsilon.Observe(int64(gap))
+		}
+	}
+	if s.lg.Enabled(s.ctx, slog.LevelInfo) {
+		outcome := "ok"
+		switch {
+		case timedOut:
+			outcome = "timeout"
+		case cancelled:
+			outcome = "cancelled"
+		case early:
+			outcome = s.earlyExit
+		}
+		s.lg.Info("solve_done",
+			obs.KeyDiameter, s.bound, obs.KeyUpper, upper, obs.KeyGap, gap,
+			obs.KeyWitnessA, int64(s.witnessA), obs.KeyWitnessB, int64(s.witnessB),
+			obs.KeyOutcome, outcome,
+			obs.KeyElapsedMS, s.stats.TimeTotal.Milliseconds())
+	}
+	runSpan.end(obs.I("diameter", int64(s.bound)),
+		obs.I("ecc_bfs", s.stats.EccBFS),
+		obs.I("winnow_calls", s.stats.WinnowCalls),
+		obs.I("eliminate_calls", s.stats.EliminateCalls))
+	return Result{
+		Diameter:    s.bound,
+		Upper:       upper,
+		Gap:         gap,
+		Approximate: gap > 0,
+		Infinite:    s.infinite,
+		TimedOut:    timedOut,
+		Cancelled:   cancelled,
+		Resumed:     s.resumed,
+		ResumeError: s.resumeErr,
+		WitnessA:    s.witnessA,
+		WitnessB:    s.witnessB,
+		Stats:       s.stats,
+	}
+}
+
+// eccentricity is the solver's one eccentricity step: a BFS from v,
+// counted in EccBFS and timed into TimeEcc, returning ecc(v) and a vertex
+// of the last level — one at distance ecc(v) from v. ok is false when the
+// traversal was aborted by cancellation: the truncated level count still
+// lower-bounds ecc(v) and is folded into the lower bound, but nothing may
+// record it as exact.
+func (s *solver) eccentricity(v graph.Vertex) (ecc int32, far graph.Vertex, ok bool) {
+	t0 := time.Now()
+	ecc = s.e.Eccentricity(v)
+	s.stats.EccBFS++
+	s.stats.TimeEcc += time.Since(t0)
+	far = s.e.LastFrontier()[0]
+	if s.e.Aborted() {
+		s.raiseLB(ecc, v, far)
+		return ecc, far, false
+	}
+	return ecc, far, true
+}
+
+// commit records the main loop's exact ecc(v), found by a BFS whose last
+// level holds witness, and applies what it proves (Algorithm 1). A new
+// lower bound extends the winnowed ball and every eliminated region
+// (§4.5); a smaller eccentricity eliminates v's ball (Theorem 1, §4.4); an
+// equal one removes only v. The single-BFS path and every batch source
+// commit through here, which is what keeps their state evolution
+// identical.
+func (s *solver) commit(v graph.Vertex, ecc int32, witness graph.Vertex) {
+	s.ck.calls++
+	before := s.removedTotal()
+	s.setComputed(v, ecc)
+	switch {
+	case ecc > s.bound:
+		old := s.bound
+		s.raiseLB(ecc, v, witness)
+		s.stats.BoundImprovements++
+		s.opt.Trace.BoundImproved(old, ecc, uint32(v))
+		s.publishBounds()
+		if !s.opt.DisableWinnow {
+			s.winnow()
+		}
+		if !s.opt.DisableEliminate {
+			s.extendEliminated(old)
+		}
+	case ecc < s.bound && !s.opt.DisableEliminate:
+		s.eliminateFrom([]graph.Vertex{v}, ecc, s.bound, StageEliminate)
+	}
+	// Cost-model feedback: this evaluation's pruning yield (batch.go).
+	s.notePruning(s.removedTotal() - before)
+	s.observeProgress()
 }
 
 // publishBounds streams the current [lower, upper] corridor with its
@@ -594,12 +518,78 @@ func (s *solver) publishBounds() {
 	}
 }
 
-// setStage mirrors the tracer's stage label into the structured log, so a
-// debug-level request log shows the solver's phase transitions.
-func (s *solver) setStage(stage string) {
-	if s.lg.Enabled(s.ctx, slog.LevelDebug) {
-		s.lg.Debug("stage", obs.KeyStage, stage)
+// spanKind selects what a solver span does besides its trace span and its
+// clock.
+type spanKind uint8
+
+const (
+	// spanRun is the whole solve ("run"/"diameter"); closing it moves the
+	// progress stage to "done".
+	spanRun spanKind = iota
+	// spanStage is a top-level stage: opening it logs the transition and
+	// sets the progress stage label, closing it refreshes the progress
+	// gauges.
+	spanStage
+	// spanNested is an Eliminate inside Chain Processing or the main loop:
+	// the enclosing stage keeps its label.
+	spanNested
+)
+
+// span is an open solver span; see begin.
+type span struct {
+	s     *solver
+	kind  spanKind
+	name  string
+	clock *time.Duration
+	t0    time.Time
+}
+
+// begin opens a solver span. It is the one place the solver emits the
+// debug "stage" log line, the progress stage label and the trace's run and
+// stage spans, and with end it runs the Stats.Time* clocks: clock (nil for
+// none) accumulates the span's wall time when it closes. The untraced path
+// allocates nothing — args are copied only when a tracer is attached.
+func (s *solver) begin(kind spanKind, name string, clock *time.Duration, args ...obs.Arg) span {
+	tr := s.opt.Trace
+	if kind == spanStage {
+		if s.lg.Enabled(s.ctx, slog.LevelDebug) {
+			s.lg.Debug("stage", obs.KeyStage, name)
+		}
+		tr.SetStage(name)
 	}
+	if tr != nil {
+		tr.Begin(kind.category(), name, append([]obs.Arg(nil), args...)...)
+	}
+	sp := span{s: s, kind: kind, name: name, clock: clock}
+	if clock != nil {
+		sp.t0 = time.Now()
+	}
+	return sp
+}
+
+// end closes the span with args as its closing annotations.
+func (sp span) end(args ...obs.Arg) {
+	s := sp.s
+	if sp.clock != nil {
+		*sp.clock += time.Since(sp.t0)
+	}
+	tr := s.opt.Trace
+	if sp.kind != spanNested {
+		s.observeProgress()
+	}
+	if sp.kind == spanRun {
+		tr.SetStage("done")
+	}
+	if tr != nil {
+		tr.End(sp.kind.category(), sp.name, append([]obs.Arg(nil), args...)...)
+	}
+}
+
+func (k spanKind) category() string {
+	if k == spanRun {
+		return "run"
+	}
+	return "stage"
 }
 
 // observeProgress pushes the live bound and active-vertex count to the
@@ -611,8 +601,6 @@ func (s *solver) observeProgress() {
 	if tr == nil {
 		return
 	}
-	removed := s.stats.RemovedDegree0 + s.stats.RemovedWinnow +
-		s.stats.RemovedChain + s.stats.RemovedEliminate + s.stats.Computed
-	tr.SetActive(int64(s.stats.Vertices) - removed)
+	tr.SetActive(s.activeRemaining())
 	tr.SetBound(int64(s.bound))
 }

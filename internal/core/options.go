@@ -37,16 +37,6 @@ type Options struct {
 	// measuring how much the hybrid contributes.
 	DisableDirectionOpt bool
 
-	// Batch configures the bit-parallel MS-BFS batching of the main loop:
-	// when the cost model says batching pays, the solver evaluates up to
-	// 64 remaining active vertices with one multi-source traversal
-	// instead of 64 direction-optimized BFS. The zero value enables
-	// batching under the default cost model. Batching never changes the
-	// result: batch sources are committed in index order and a source
-	// that an earlier commit's pruning removed is discarded, so the state
-	// evolution is identical to the unbatched loop.
-	Batch BatchOptions
-
 	// Trace attaches an observability run: the solver emits
 	// run/stage/traversal/level spans, bound-improvement instants, and
 	// live progress (stage, bound, active vertices) to it, and the BFS
@@ -86,38 +76,11 @@ type Options struct {
 	// Result; Diameter then holds the best lower bound found so far,
 	// mirroring the paper's "T/O" entries.
 	Timeout time.Duration
-}
 
-// Batch cost-model thresholds (DESIGN.md §11), fixed: no workload has
-// needed other values.
-const (
-	// DefaultBatchMinActive is the remaining-active-vertex floor below
-	// which the main loop stays single-BFS: with only a handful of
-	// survivors left, the fixed per-batch cost (a traversal that must
-	// carry the whole graph's frontier words) cannot amortize over the
-	// few sources that would fill it.
-	DefaultBatchMinActive = 16
-
-	// DefaultBatchMaxPrune is the ceiling on the recent removals-per-
-	// evaluation average (EWMA) above which batching stays off: while
-	// each eccentricity still prunes many vertices, batch sources
-	// collected ahead of time would mostly be discarded.
-	DefaultBatchMaxPrune = 16.0
-)
-
-// BatchOptions configures the MS-BFS batching of the solver's main loop.
-// The zero value enables batching gated by the cost model of DESIGN.md §11.
-type BatchOptions struct {
-	// Disable turns batching off entirely: the main loop evaluates every
-	// surviving vertex with its own direction-optimized BFS (the pre-
-	// batching behavior, and the reference of the equivalence tests).
-	Disable bool
-
-	// Force bypasses the cost model and batches whenever at least one
-	// active vertex remains. Intended for tests that must exercise the
-	// batched path deterministically; production runs should rely on the
-	// cost model.
-	Force bool
+	// batch overrides the MS-BFS batching cost model of the main loop
+	// (batch.go). Batching never changes the result, so the zero value —
+	// the cost model decides — is the only one production needs.
+	batch batchMode
 }
 
 // ApproxOptions configures the sampled approximation mode: Sweeps double
@@ -170,10 +133,3 @@ type CheckpointOptions struct {
 	// the reason reported in Result.ResumeError. Empty starts fresh.
 	ResumeFrom string
 }
-
-// Serial returns options for the serial F-Diam variant.
-func Serial() Options { return Options{Workers: 1} }
-
-// Parallel returns options for the parallel F-Diam variant with default
-// parallelism.
-func Parallel() Options { return Options{} }

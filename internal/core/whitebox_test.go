@@ -6,6 +6,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"fdiam/internal/ecc"
@@ -349,5 +350,68 @@ func TestEliminateCallCountOnPathologies(t *testing.T) {
 		if s.stats.EliminateCalls > int64(g.NumVertices()) {
 			t.Errorf("%s: %d eliminate calls on %d vertices", name, s.stats.EliminateCalls, g.NumVertices())
 		}
+	}
+}
+
+// TestEliminateParallelMatchesSerial: the parallel frontier expansion that
+// extendEliminated uses for large seed rings must remove exactly the
+// vertices the serial expansion removes, with the same recorded bounds,
+// attribution, counters and returned ring.
+func TestEliminateParallelMatchesSerial(t *testing.T) {
+	const w, h = 2048, 15
+	g := gen.Grid2D(w, h)
+	row := func(y int) []graph.Vertex {
+		vs := make([]graph.Vertex, w)
+		for x := range vs {
+			vs[x] = graph.Vertex(y*w + x)
+		}
+		return vs
+	}
+	// The seed ring is one full grid row: w ≥ batchEliminateSeedCutoff
+	// seeds, the size from which extendEliminated expands in parallel.
+	run := func(parallel bool) (*solver, []graph.Vertex, int32) {
+		s := prepSolver(g, Options{Workers: 4})
+		defer s.e.Close()
+		// extendEliminated's situation: the bound grew from 5 to 9 and
+		// the seeds are an eliminated region's outermost ring, recorded
+		// at the old bound.
+		s.bound = 9
+		seeds := row(7)
+		for _, v := range seeds {
+			s.recordBound(v, 5, StageEliminate)
+		}
+		// Prior state the write policy must respect: looser recorded
+		// bounds get tightened, tighter ones and computed or winnowed
+		// vertices keep theirs.
+		for x := 0; x < w; x += 3 {
+			s.recordBound(graph.Vertex(9*w+x), 20, StageEliminate)
+			s.recordBound(graph.Vertex(11*w+x), 5, StageEliminate)
+		}
+		s.setComputed(graph.Vertex(5*w+7), 6)
+		s.markWinnowed([]graph.Vertex{graph.Vertex(4*w + 9), graph.Vertex(10*w + 11)}, 1)
+		ring, levels := s.eliminateFromPar(seeds, 5, 9, StageEliminate, parallel)
+		slices.Sort(ring)
+		return s, ring, levels
+	}
+	ser, serRing, serLevels := run(false)
+	par, parRing, parLevels := run(true)
+	if ser.stats.RemovedEliminate == 0 || len(serRing) == 0 {
+		t.Fatal("the serial expansion removed nothing")
+	}
+	if !slices.Equal(ser.ecc, par.ecc) {
+		t.Error("recorded bounds differ between serial and parallel expansion")
+	}
+	if !slices.Equal(ser.stage, par.stage) {
+		t.Error("removal attribution differs between serial and parallel expansion")
+	}
+	if serLevels != parLevels || !slices.Equal(serRing, parRing) {
+		t.Errorf("ring/levels differ: serial %d vertices at %d levels, parallel %d at %d",
+			len(serRing), serLevels, len(parRing), parLevels)
+	}
+	a, b := ser.stats, par.stats
+	if a.EliminateCalls != b.EliminateCalls || a.EliminateVisited != b.EliminateVisited ||
+		a.RemovedEliminate != b.RemovedEliminate || a.RemovedWinnow != b.RemovedWinnow ||
+		a.Computed != b.Computed {
+		t.Errorf("counters differ:\n serial:   %+v\n parallel: %+v", a, b)
 	}
 }

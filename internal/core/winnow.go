@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"fdiam/internal/graph"
 	"fdiam/internal/obs"
 )
@@ -25,16 +23,8 @@ func (s *solver) winnow() {
 	if !first && depth <= s.winnowDepth {
 		return
 	}
-	tr := s.opt.Trace
-	if tr != nil {
-		tr.SetStage("winnow")
-	}
-	s.setStage("winnow")
-	if tr != nil {
-		tr.Begin("stage", "winnow",
-			obs.I("depth", int64(depth)), obs.I("from_depth", int64(s.winnowDepth)))
-	}
-	t0 := time.Now()
+	sp := s.begin(spanStage, "winnow", &s.stats.TimeWinnow,
+		obs.I("depth", int64(depth)), obs.I("from_depth", int64(s.winnowDepth)))
 	s.stats.WinnowCalls++
 
 	var seeds []graph.Vertex
@@ -59,31 +49,20 @@ func (s *solver) winnow() {
 		s.markWinnowed(frontier, workers)
 	})
 
-	if s.e.Aborted() {
-		// Every level reported before the abort was exact, so all marks
-		// applied are inside the authorized ball — but the traversal did
-		// not reach the full radius, so the saved frontier/depth pair
-		// must not advance: the caller returns immediately and a
-		// hypothetical later extension would resume from the old ring.
-		s.stats.TimeWinnow += time.Since(t0)
-		if tr != nil {
-			tr.End("stage", "winnow", obs.I("removed_total", s.stats.RemovedWinnow))
-			s.observeProgress()
+	// An aborted traversal reported only exact levels, so every mark
+	// applied is inside the authorized ball — but it did not reach the
+	// full radius, so the saved frontier/depth pair must not advance: the
+	// caller returns immediately and a hypothetical later extension would
+	// resume from the old ring. LastFrontier always contains at least the
+	// seeds, so winnowFrontier becomes non-nil on success, which is what
+	// marks the first call as done.
+	if !s.e.Aborted() {
+		s.winnowFrontier = append(s.winnowFrontier[:0], s.e.LastFrontier()...)
+		s.winnowDepth = depth
+		if checkedBuild {
+			s.checkWinnowBall()
+			s.checkStateConsistency("winnow")
 		}
-		return
 	}
-
-	// LastFrontier always contains at least the seeds, so winnowFrontier
-	// becomes non-nil here, which is what marks the first call as done.
-	s.winnowFrontier = append(s.winnowFrontier[:0], s.e.LastFrontier()...)
-	s.winnowDepth = depth
-	if checkedBuild {
-		s.checkWinnowBall()
-		s.checkStateConsistency("winnow")
-	}
-	s.stats.TimeWinnow += time.Since(t0)
-	if tr != nil {
-		tr.End("stage", "winnow", obs.I("removed_total", s.stats.RemovedWinnow))
-		s.observeProgress()
-	}
+	sp.end(obs.I("removed_total", s.stats.RemovedWinnow))
 }
